@@ -4,9 +4,10 @@
 // Two identical databases (a four-version column-only chain with a seeded
 // base table) each host one client thread doing alternating derived reads
 // and base writes. One database migrates with the blocking Materialize —
-// the client op that spans it stalls for the whole copy. The other uses
-// MaterializeOnline: the chunked copy and catch-up run under shared locks,
-// so the client only ever waits for the brief exclusive flip.
+// the coordinator's inline schedule, one exclusive window, so the client op
+// that spans it stalls for the whole copy. The other runs the same migration
+// online: the chunked copy and catch-up run under shared locks, so the
+// client only ever waits for the brief exclusive flip.
 //
 //   stw      client p99 / max latency around a blocking MATERIALIZE,
 //            plus the materialize duration itself (= the stall window)

@@ -103,7 +103,7 @@ struct AdviseOptions {
   ProfileWindow window = ProfileWindow::kLifetime;
 
   /// Explicit per-version workload shares; when non-empty the profiler is
-  /// bypassed entirely (the legacy RecommendMaterialization surface).
+  /// bypassed entirely.
   /// Validated and normalized: negative, empty-after-merge, or all-zero
   /// weight vectors are rejected with a diagnostic Status.
   std::map<std::string, double> version_weights;

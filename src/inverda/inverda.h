@@ -279,8 +279,7 @@ class AccessLayer : public AccessBackend {
 
   /// Internal accounting behind the registry's view_cache pull-source and
   /// its reset hook. The public surface is Inverda::Metrics() /
-  /// Inverda::ResetMetrics() (docs/observability.md); the per-PR-5
-  /// deprecated public shims are gone.
+  /// Inverda::ResetMetrics() (docs/observability.md).
   void ResetCacheStats();
   int64_t cache_hits() const {
     return cache_hits_.load(std::memory_order_relaxed);
@@ -445,26 +444,17 @@ class Inverda {
   /// The Database Migration Operation, unified entry point: moves the
   /// physical data so the requested targets (or the explicit schema) are
   /// physically stored, migrates auxiliary state, and drops stale physical
-  /// tables. Blocking by default (exclusive DDL lock, all-or-nothing with
-  /// rollback on failure); `request.online` runs it through the background
-  /// MigrationCoordinator instead — readers and writers keep running while
-  /// the coordinator backfills chunk-by-chunk and replays concurrently
-  /// captured writes, and the commit is a brief exclusive epoch flip.
-  /// While a migration is active all other DDL (evolution, drops, blocking
-  /// MATERIALIZE, Reshard, a second online migration) is rejected with
-  /// InvalidState.
+  /// tables. One engine, the MigrationCoordinator, with two schedules.
+  /// Blocking by default: the coordinator stages, derives and commits
+  /// inline under the exclusive DDL lock, all-or-nothing with rollback on
+  /// failure. `request.online` runs it in the background instead — readers
+  /// and writers keep running while the coordinator backfills
+  /// chunk-by-chunk and replays concurrently captured writes, and the
+  /// commit is a brief exclusive epoch flip. Both schedules count in the
+  /// migrate.* metrics and MigrationState(). While an online migration is
+  /// active all other DDL (evolution, drops, blocking MATERIALIZE,
+  /// Reshard, a second online migration) is rejected with InvalidState.
   Status Materialize(const MaterializeRequest& request);
-
-  /// Deprecated pre-unification spellings; one-PR shims over
-  /// Materialize(MaterializeRequest).
-  [[deprecated("use Materialize(const MaterializeRequest&)")]]
-  Status Materialize(const std::vector<std::string>& targets);
-  [[deprecated("use Materialize(MaterializeRequest::Schema(m))")]]
-  Status MaterializeSchema(const std::set<SmoId>& m);
-  [[deprecated("use Materialize(MaterializeRequest::Targets(t, true, false))")]]
-  Status MaterializeOnline(const std::vector<std::string>& targets);
-  [[deprecated("use Materialize(MaterializeRequest::Schema(m, true, false))")]]
-  Status MaterializeSchemaOnline(const std::set<SmoId>& m);
 
   // --- online migration (docs/migration.md) ----------------------------------
 
@@ -557,9 +547,7 @@ class Inverda {
   /// The unified stats surface (docs/observability.md): every component's
   /// counters and latency histograms — plan cache, view cache, compiler,
   /// latches, per-kernel timings, tracer — in one registry. Safe to
-  /// snapshot concurrently with client traffic. Replaces the scattered
-  /// per-component accessors (plan_stats / cache_hits / ... on the access
-  /// layer), which remain as deprecated shims for one PR.
+  /// snapshot concurrently with client traffic.
   obs::MetricsRegistry& Metrics() { return obs_.metrics; }
   const obs::MetricsRegistry& Metrics() const { return obs_.metrics; }
 
@@ -607,12 +595,9 @@ class Inverda {
   Result<std::vector<KeyedRow>> SelectWhereLocked(const std::string& version,
                                                   const std::string& table,
                                                   const Expression& predicate);
-  Status MaterializeLocked(const std::vector<std::string>& targets);
-  Status MaterializeSchemaLocked(const std::set<SmoId>& m);
 
   /// Resolves MATERIALIZE targets ("Version" or "Version.table") to the
-  /// materialization schema they imply (shared by the blocking and online
-  /// paths; requires catalog_mu_).
+  /// materialization schema they imply (requires catalog_mu_).
   Result<std::set<SmoId>> ResolveMaterializationLocked(
       const std::vector<std::string>& targets);
 

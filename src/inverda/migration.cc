@@ -7,15 +7,6 @@
 #include "util/strings.h"
 
 namespace inverda {
-namespace {
-
-// A staged physical table: the content a table will have after the flip.
-struct StagedTable {
-  std::string name;
-  Table content;
-};
-
-}  // namespace
 
 Status Inverda::Materialize(const MaterializeRequest& request) {
   const bool has_targets = !request.targets.empty();
@@ -32,40 +23,17 @@ Status Inverda::Materialize(const MaterializeRequest& request) {
   if (request.online) {
     // The coordinator takes the exclusive catalog lock itself during
     // admission and the flip; we must hold no locks here.
-    if (has_schema) {
-      INVERDA_RETURN_IF_ERROR(migrate_.StartSchema(*request.schema));
-    } else {
-      INVERDA_RETURN_IF_ERROR(migrate_.Start(request.targets));
-    }
+    INVERDA_RETURN_IF_ERROR(migrate_.Start(request));
     if (request.wait) return migrate_.Wait();
     return Status::OK();
   }
 
-  // Blocking DDL: exclusive — a migration flips routes and swaps physical
-  // tables; no access may observe a half-flipped state (clients see the
+  // Blocking DDL: the same migration, run inline inside one exclusive
+  // section — no access may observe a half-flipped state (clients see the
   // catalog epoch strictly before or strictly after).
   std::unique_lock<std::shared_mutex> ddl(catalog_mu_);
   INVERDA_RETURN_IF_ERROR(CheckNoActiveMigration());
-  if (has_schema) return MaterializeSchemaLocked(*request.schema);
-  return MaterializeLocked(request.targets);
-}
-
-Status Inverda::Materialize(const std::vector<std::string>& targets) {
-  return Materialize(MaterializeRequest::Targets(targets));
-}
-
-Status Inverda::MaterializeSchema(const std::set<SmoId>& m) {
-  return Materialize(MaterializeRequest::Schema(m));
-}
-
-Status Inverda::MaterializeOnline(const std::vector<std::string>& targets) {
-  return Materialize(
-      MaterializeRequest::Targets(targets, /*online=*/true, /*wait=*/false));
-}
-
-Status Inverda::MaterializeSchemaOnline(const std::set<SmoId>& m) {
-  return Materialize(
-      MaterializeRequest::Schema(m, /*online=*/true, /*wait=*/false));
+  return migrate_.RunInlineLocked(request);
 }
 
 Result<std::set<SmoId>> Inverda::ResolveMaterializationLocked(
@@ -90,154 +58,6 @@ Result<std::set<SmoId>> Inverda::ResolveMaterializationLocked(
     }
   }
   return catalog_.MaterializationForTables(tables);
-}
-
-Status Inverda::MaterializeLocked(const std::vector<std::string>& targets) {
-  INVERDA_ASSIGN_OR_RETURN(std::set<SmoId> m,
-                           ResolveMaterializationLocked(targets));
-  return MaterializeSchemaLocked(m);
-}
-
-Status Inverda::MaterializeSchemaLocked(const std::set<SmoId>& m) {
-  INVERDA_RETURN_IF_ERROR(catalog_.CheckValidMaterialization(m));
-
-  std::set<SmoId> old_m = catalog_.CurrentMaterialization();
-  if (old_m == m) return Status::OK();  // nothing to do
-
-  // The SMO instances whose state flips.
-  std::vector<SmoId> flipping;
-  for (SmoId id : catalog_.AllSmos()) {
-    bool was = old_m.count(id) > 0;
-    bool will = m.count(id) > 0;
-    const SmoInstance& inst = catalog_.smo(id);
-    if (inst.smo->kind() == SmoKind::kCreateTable ||
-        inst.smo->kind() == SmoKind::kDropTable) {
-      continue;
-    }
-    if (was != will) flipping.push_back(id);
-  }
-
-  // Physical data tables before and after.
-  std::set<TvId> old_physical, new_physical;
-  for (TvId tv : catalog_.PhysicalTables(old_m)) old_physical.insert(tv);
-  for (TvId tv : catalog_.PhysicalTables(m)) new_physical.insert(tv);
-
-  // Stage 1: derive every newly physical relation under the OLD state.
-  std::vector<StagedTable> staged;
-  for (TvId tv : new_physical) {
-    if (old_physical.count(tv)) continue;
-    TableSchema schema = catalog_.table_version(tv).schema;
-    schema.set_name(catalog_.DataTableName(tv));
-    StagedTable st{catalog_.DataTableName(tv), Table(std::move(schema))};
-    Status status = Status::OK();
-    INVERDA_RETURN_IF_ERROR(
-        access_.ScanVersion(tv, [&](int64_t key, const Row& row) {
-          if (status.ok()) status = st.content.Upsert(key, row);
-        }));
-    INVERDA_RETURN_IF_ERROR(status);
-    staged.push_back(std::move(st));
-  }
-  // Newly required aux tables (the flipped side's aux), derived via the
-  // kernels under the old state. Aux marked both_sides persist unchanged.
-  for (SmoId id : flipping) {
-    const SmoInstance& inst = catalog_.smo(id);
-    bool new_state = m.count(id) > 0;
-    std::vector<std::string> old_aux =
-        catalog_.PhysicalAuxNames(id, inst.materialized);
-    for (const std::string& aux : catalog_.PhysicalAuxNames(id, new_state)) {
-      bool existed = false;
-      for (const std::string& o : old_aux) {
-        if (o == aux) existed = true;
-      }
-      if (existed) continue;
-      const AuxDef* def = nullptr;
-      for (const AuxDef& d : inst.aux_defs) {
-        if (d.short_name == aux) def = &d;
-      }
-      if (def == nullptr) {
-        return Status::Internal("aux definition missing: " + aux);
-      }
-      TableSchema schema(catalog_.AuxTableName(id, aux), def->payload);
-      StagedTable st{schema.name(), Table(std::move(schema))};
-      INVERDA_ASSIGN_OR_RETURN(SmoContext ctx, access_.BuildContext(id));
-      INVERDA_ASSIGN_OR_RETURN(const Kernel* kernel, KernelForSmo(*inst.smo));
-      INVERDA_RETURN_IF_ERROR(kernel->DeriveAux(ctx, aux, &st.content));
-      staged.push_back(std::move(st));
-    }
-  }
-
-  // Stage 2: swap. Snapshot first so any failure restores the old world.
-  Database::SnapshotState snapshot = db_.Snapshot();
-  std::vector<std::pair<SmoId, bool>> old_states;
-  auto rollback = [&]() {
-    db_.Restore(std::move(snapshot));
-    for (auto& [id, state] : old_states) {
-      catalog_.mutable_smo(id).materialized = state;
-    }
-    // Un-flipping is a materialization change too: compiled plans pinned
-    // to the post-flip epoch must not survive the rollback.
-    if (!old_states.empty()) catalog_.BumpMaterializationEpoch();
-  };
-
-  Status status = Status::OK();
-  // Drop stale physical data tables.
-  for (TvId tv : old_physical) {
-    if (new_physical.count(tv)) continue;
-    Status s = db_.DropTable(catalog_.DataTableName(tv));
-    if (!s.ok()) status = s;
-  }
-  // Drop stale aux tables.
-  for (SmoId id : flipping) {
-    const SmoInstance& inst = catalog_.smo(id);
-    bool new_state = m.count(id) > 0;
-    std::vector<std::string> keep = catalog_.PhysicalAuxNames(id, new_state);
-    for (const std::string& aux :
-         catalog_.PhysicalAuxNames(id, inst.materialized)) {
-      bool kept = false;
-      for (const std::string& k : keep) {
-        if (k == aux) kept = true;
-      }
-      if (kept) continue;
-      Status s = db_.DropTable(catalog_.AuxTableName(id, aux));
-      if (!s.ok()) status = s;
-    }
-  }
-  // Install the staged tables.
-  if (status.ok()) {
-    for (StagedTable& st : staged) {
-      Status s = db_.CreateTable(st.content.schema());
-      if (!s.ok()) {
-        status = s;
-        break;
-      }
-      Result<Table*> table = db_.GetTable(st.name);
-      if (!table.ok()) {
-        status = table.status();
-        break;
-      }
-      **table = std::move(st.content);
-    }
-  }
-  // Flip the materialization states.
-  if (status.ok()) {
-    for (SmoId id : flipping) {
-      SmoInstance& inst = catalog_.mutable_smo(id);
-      old_states.emplace_back(id, inst.materialized);
-      inst.materialized = m.count(id) > 0;
-    }
-    if (!flipping.empty()) catalog_.BumpMaterializationEpoch();
-  }
-  // Only the versions whose access path passes through a flipped SMO can
-  // change their route; everything else keeps its cached view. (Dropped /
-  // recreated physical tables additionally fail the epoch validation of any
-  // entry that read them.)
-  access_.InvalidateForMigration(
-      std::set<SmoId>(flipping.begin(), flipping.end()));
-  if (!status.ok()) {
-    rollback();
-    return status;
-  }
-  return Status::OK();
 }
 
 }  // namespace inverda

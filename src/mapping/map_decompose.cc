@@ -375,6 +375,13 @@ Status VerticalPkKernel::Propagate(const SmoContext& ctx, SmoSide side,
 
 namespace {
 
+// True when the id memo knows `t` to name a payload other than `b`: an IDR
+// entry (p, t) for a combined row whose right part is now `b` went stale
+// through a direct write to the combined table.
+bool IsStaleAssignment(const SmoContext& ctx, int64_t t, const Row& b) {
+  return !ctx.memo->Names("T", t, b).value_or(true);
+}
+
 // Scans the physical-side representation to find the payload of the right-
 // hand tuple `t` when the combined side holds the data: either a row whose
 // IDR entry equals t, or an unreferenced right tuple stored under key t.
@@ -387,7 +394,7 @@ Result<std::optional<Row>> FindRightPayloadFromCombined(
   if (direct && AllNull(APart(roles, *direct))) {
     return std::optional<Row>(BPart(roles, *direct));
   }
-  // Otherwise: any referencing row.
+  // Otherwise: any referencing row whose IDR entry is still current.
   std::optional<Row> found;
   Status status = Status::OK();
   idr->Scan([&](int64_t p, const Row& row) {
@@ -399,15 +406,17 @@ Result<std::optional<Row>> FindRightPayloadFromCombined(
       status = combined.status();
       return;
     }
-    if (*combined) found = BPart(roles, **combined);
+    if (!*combined) return;
+    Row b = BPart(roles, **combined);
+    if (!IsStaleAssignment(ctx, t, b)) found = std::move(b);
   });
   INVERDA_RETURN_IF_ERROR(status);
   return found;
 }
 
 // True if any IDR entry other than `except_key` references `t` through a
-// still-existing combined row (stale IDR entries from direct physical
-// writes are ignored).
+// still-existing combined row that still carries t's payload (stale IDR
+// entries from direct physical writes are ignored).
 bool IsReferenced(const SmoContext& ctx, const VerticalRoles& roles,
                   Table* idr, int64_t t, std::optional<int64_t> except_key) {
   std::vector<int64_t> candidates;
@@ -420,7 +429,9 @@ bool IsReferenced(const SmoContext& ctx, const VerticalRoles& roles,
   for (int64_t p : candidates) {
     Result<std::optional<Row>> row =
         ctx.backend->FindVersion(roles.combined->id, p);
-    if (row.ok() && *row) return true;
+    if (row.ok() && *row && !IsStaleAssignment(ctx, t, BPart(roles, **row))) {
+      return true;
+    }
   }
   return false;
 }
@@ -440,9 +451,15 @@ Result<Value> ResolveAssignedT(const SmoContext& ctx,
     return Value::Int(p);
   }
   if (const Row* existing = idr->Find(p)) {
-    if (!(*existing)[0].is_null()) {
-      ctx.memo->Seed("T", b, (*existing)[0].AsInt());
-      return (*existing)[0];
+    const Value& t = (*existing)[0];
+    // IDR(p) is a repeatable read of idT(b), not a fact about p: a direct
+    // write to the combined table may have changed p's right part since.
+    // Keep t while it still names b; an id the memo has not seen yet (IDR
+    // written by a path that could not seed it) is trusted and learns b.
+    if (!t.is_null()) {
+      std::optional<bool> names = ctx.memo->Names("T", t.AsInt(), b);
+      if (!names.has_value()) ctx.memo->Seed("T", b, t.AsInt());
+      if (names.value_or(true)) return t;
     }
   }
   if (std::optional<int64_t> hit = ctx.memo->Find("T", b)) {
@@ -469,7 +486,11 @@ Result<Value> ResolveAssignedT(const SmoContext& ctx,
     // the lone tuple's identity on migration.
     if (AllNull(APart(roles, **row))) continue;
     Row other_b = BPart(roles, **row);
-    if (!AllNull(other_b)) ctx.memo->Seed("T", other_b, t);
+    // Only ids the memo does not know yet: a known id that names another
+    // payload marks a stale entry, which must not rename that id.
+    if (!AllNull(other_b) && !ctx.memo->Names("T", t, other_b).has_value()) {
+      ctx.memo->Seed("T", other_b, t);
+    }
   }
   INVERDA_RETURN_IF_ERROR(status);
   if (std::optional<int64_t> hit = ctx.memo->Find("T", b)) {
@@ -684,7 +705,9 @@ Status FkKernel::DeriveAux(const SmoContext& ctx,
     return Status::Internal("unknown aux " + aux_short_name);
   }
   // IDR(p, t) from the split side: every S row's fk, plus (t, t) for
-  // unreferenced right tuples (rules 150-152).
+  // unreferenced right tuples (rules 150-152). The memo learns the payload
+  // of every referenced t, so later reads can tell a current entry from a
+  // stale one (lone tuples keep their private id and need no memo).
   std::set<int64_t> referenced;
   Status status = Status::OK();
   INVERDA_RETURN_IF_ERROR(
@@ -698,8 +721,11 @@ Status FkKernel::DeriveAux(const SmoContext& ctx,
   INVERDA_RETURN_IF_ERROR(
       ctx.backend->ScanVersion(roles.t->id, [&](int64_t t, const Row& row) {
         if (!status.ok()) return;
-        (void)row;
-        if (!referenced.count(t)) status = out->Upsert(t, Row{Value::Int(t)});
+        if (referenced.count(t)) {
+          ctx.memo->Seed("T", row, t);
+        } else {
+          status = out->Upsert(t, Row{Value::Int(t)});
+        }
       }));
   return status;
 }
@@ -812,6 +838,7 @@ Status PropagateLeftWrite(const SmoContext& ctx, const VerticalRoles& roles,
           ctx, roles.combined->id,
           WriteOp::Insert(op.key,
                           Combine(roles, width, &a, b ? &*b : nullptr))));
+      if (b) ctx.memo->Seed("T", *b, fk.AsInt());
       return idr->Upsert(op.key, Row{std::move(fk)});
     }
     case WriteOp::Kind::kUpdate: {
@@ -851,6 +878,7 @@ Status PropagateLeftWrite(const SmoContext& ctx, const VerticalRoles& roles,
                                 op.key, Combine(roles, width, &a,
                                                 b_new ? &*b_new : nullptr));
         INVERDA_RETURN_IF_ERROR(ApplyOne(ctx, roles.combined->id, out));
+        if (b_new) ctx.memo->Seed("T", *b_new, fk_new.AsInt());
         INVERDA_RETURN_IF_ERROR(idr->Upsert(op.key, Row{fk_new}));
         if (in_l_plus) l_plus->Erase(op.key);
       }
@@ -923,6 +951,8 @@ Status PropagateRightWrite(const SmoContext& ctx, const VerticalRoles& roles,
             ctx, roles.combined->id,
             WriteOp::Update(p, Combine(roles, width, a_ptr, &op.row))));
       }
+      // The id keeps its identity under the new payload.
+      ctx.memo->Seed("T", op.row, op.key);
       if (!roles.outer) {
         INVERDA_ASSIGN_OR_RETURN(Table * r_plus, ctx.Aux("R_plus"));
         if (r_plus->Contains(op.key)) {

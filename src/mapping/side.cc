@@ -32,23 +32,41 @@ Status Kernel::DeriveReadBatch(const SmoContext& ctx, SmoSide side, int which,
 int64_t IdMemo::GetOrCreate(const std::string& role, const Row& payload,
                             Sequence& seq) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto& map = maps_[role];
-  auto it = map.find(payload);
-  if (it != map.end()) return it->second;
+  RoleMaps& maps = maps_[role];
+  auto it = maps.ids.find(payload);
+  if (it != maps.ids.end()) return it->second;
   int64_t id = seq.Next();
-  map.emplace(payload, id);
+  SeedLocked(maps, payload, id);
   return id;
 }
 
 void IdMemo::Seed(const std::string& role, const Row& payload, int64_t id) {
   std::lock_guard<std::mutex> lock(mu_);
-  maps_[role][payload] = id;
+  SeedLocked(maps_[role], payload, id);
+}
+
+void IdMemo::SeedLocked(RoleMaps& maps, const Row& payload, int64_t id) {
+  auto [it, inserted] = maps.payloads.try_emplace(id, payload);
+  if (!inserted && !(it->second == payload)) {
+    // The id now names another payload: the old one no longer maps to it.
+    auto old = maps.ids.find(it->second);
+    if (old != maps.ids.end() && old->second == id) maps.ids.erase(old);
+    it->second = payload;
+  }
+  maps.ids[payload] = id;
 }
 
 void IdMemo::Forget(const std::string& role, const Row& payload) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = maps_.find(role);
-  if (it != maps_.end()) it->second.erase(payload);
+  if (it == maps_.end()) return;
+  auto jt = it->second.ids.find(payload);
+  if (jt == it->second.ids.end()) return;
+  auto named = it->second.payloads.find(jt->second);
+  if (named != it->second.payloads.end() && named->second == payload) {
+    it->second.payloads.erase(named);
+  }
+  it->second.ids.erase(jt);
 }
 
 std::optional<int64_t> IdMemo::Find(const std::string& role,
@@ -56,9 +74,19 @@ std::optional<int64_t> IdMemo::Find(const std::string& role,
   std::lock_guard<std::mutex> lock(mu_);
   auto it = maps_.find(role);
   if (it == maps_.end()) return std::nullopt;
-  auto jt = it->second.find(payload);
-  if (jt == it->second.end()) return std::nullopt;
+  auto jt = it->second.ids.find(payload);
+  if (jt == it->second.ids.end()) return std::nullopt;
   return jt->second;
+}
+
+std::optional<bool> IdMemo::Names(const std::string& role, int64_t id,
+                                  const Row& payload) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = maps_.find(role);
+  if (it == maps_.end()) return std::nullopt;
+  auto jt = it->second.payloads.find(id);
+  if (jt == it->second.payloads.end()) return std::nullopt;
+  return jt->second == payload;
 }
 
 Result<Table*> SmoContext::Aux(const std::string& short_name) const {

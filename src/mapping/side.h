@@ -57,6 +57,12 @@ class AccessBackend {
 /// unique identifier ... an already generated identifier is reused for the
 /// same data". One memo per generated role (target table / combo).
 ///
+/// Also records the reverse direction, the payload each id names, so an
+/// id remembered elsewhere (DECOMPOSE ON FK's IDR aux table) can be checked
+/// against the data it was assigned for. The two directions stay
+/// consistent: re-seeding an id with a new payload retires the old
+/// payload's mapping to it.
+///
 /// Individually thread-safe; the logical read-modify-write sequences the
 /// id-generating kernels perform across memo + aux tables are additionally
 /// serialized by the access layer's exclusive latching of those kernels'
@@ -68,8 +74,8 @@ class IdMemo {
   int64_t GetOrCreate(const std::string& role, const Row& payload,
                       Sequence& seq);
 
-  /// Pre-seeds a mapping (used when rebuilding the memo from physical
-  /// state, e.g. after migration).
+  /// Records that `id` names `payload` (used when rebuilding the memo from
+  /// physical state, e.g. after migration, and when a payload changes).
   void Seed(const std::string& role, const Row& payload, int64_t id);
 
   /// Drops a mapping so the payload can be re-keyed later.
@@ -79,9 +85,20 @@ class IdMemo {
   std::optional<int64_t> Find(const std::string& role,
                               const Row& payload) const;
 
+  /// Whether `id` names `payload`; nullopt when the memo knows nothing of
+  /// `id`.
+  std::optional<bool> Names(const std::string& role, int64_t id,
+                            const Row& payload) const;
+
  private:
+  struct RoleMaps {
+    std::unordered_map<Row, int64_t, RowHash> ids;
+    std::unordered_map<int64_t, Row> payloads;
+  };
+  void SeedLocked(RoleMaps& maps, const Row& payload, int64_t id);
+
   mutable std::mutex mu_;
-  std::map<std::string, std::unordered_map<Row, int64_t, RowHash>> maps_;
+  std::map<std::string, RoleMaps> maps_;
 };
 
 /// Reference to a resolved table version (id + payload schema).

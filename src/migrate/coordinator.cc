@@ -121,66 +121,70 @@ Status MigrationCoordinator::Reap() {
   return Status::OK();
 }
 
-Status MigrationCoordinator::Start(const std::vector<std::string>& targets) {
+Status MigrationCoordinator::Start(const MaterializeRequest& request) {
   std::lock_guard<std::mutex> admission(start_mu_);
   INVERDA_RETURN_IF_ERROR(Reap());
-  std::string label;
-  for (const std::string& t : targets) {
-    if (!label.empty()) label += ",";
-    label += t;
+  std::unique_lock<std::shared_mutex> ddl(owner_->catalog_mu_);
+  auto job = std::make_unique<Job>();
+  INVERDA_ASSIGN_OR_RETURN(bool has_work,
+                           StageLocked(request, /*capture=*/true, job.get()));
+  if (!has_work) {
+    // Nothing to move: record a trivially committed migration.
+    Admit(std::move(job->label), Phase::kDone);
+    Conclude(Status::OK());
+    return Status::OK();
   }
-  std::unique_lock<std::shared_mutex> ddl(owner_->catalog_mu_);
-  INVERDA_ASSIGN_OR_RETURN(
-      std::set<SmoId> m, owner_->ResolveMaterializationLocked(targets));
-  Status admitted = StartLocked(m, std::move(label));
+  Admit(std::move(job->label), Phase::kCopy);
+  job_ = std::move(job);
+  // Go live: from here every top-level write reports into the delta logs.
+  owner_->access_.set_write_observer(this);
+  active_.store(true, std::memory_order_release);
   ddl.unlock();
-  if (admitted.ok() && active()) worker_ = std::thread([this] { Run(); });
-  return admitted;
+  worker_ = std::thread([this] { Run(); });
+  return Status::OK();
 }
 
-Status MigrationCoordinator::StartSchema(const std::set<SmoId>& m) {
-  std::lock_guard<std::mutex> admission(start_mu_);
-  INVERDA_RETURN_IF_ERROR(Reap());
-  std::string label = "schema{";
-  for (SmoId id : m) label += std::to_string(id) + " ";
-  if (label.back() == ' ') label.back() = '}';
-  else label += "}";
-  std::unique_lock<std::shared_mutex> ddl(owner_->catalog_mu_);
-  Status admitted = StartLocked(m, std::move(label));
-  ddl.unlock();
-  if (admitted.ok() && active()) worker_ = std::thread([this] { Run(); });
-  return admitted;
+Status MigrationCoordinator::RunInlineLocked(
+    const MaterializeRequest& request) {
+  Job job;
+  INVERDA_ASSIGN_OR_RETURN(bool has_work,
+                           StageLocked(request, /*capture=*/false, &job));
+  // The whole inline run is one exclusive window, so it reports as a flip.
+  Admit(std::move(job.label), has_work ? Phase::kFlip : Phase::kDone);
+  Status status = has_work ? FlipLocked(&job) : Status::OK();
+  Conclude(status);
+  return status;
 }
 
-Status MigrationCoordinator::StartLocked(const std::set<SmoId>& m,
-                                         std::string label) {
+Result<bool> MigrationCoordinator::StageLocked(
+    const MaterializeRequest& request, bool capture, Job* job) {
   // Re-check under the exclusive catalog lock, like every other DDL path
-  // (start_mu_ already serializes the Start paths; this keeps the invariant
-  // local and covers any future caller).
+  // (start_mu_ already serializes the Start calls; this keeps the invariant
+  // local and covers the inline schedule).
   if (active()) {
     return Status::InvalidState("an online migration is already in progress");
   }
   VersionCatalog& catalog = owner_->catalog_;
+  std::set<SmoId> m;
+  if (request.schema.has_value()) {
+    m = *request.schema;
+    job->label = "schema{";
+    for (SmoId id : m) job->label += std::to_string(id) + " ";
+    if (job->label.back() == ' ') job->label.back() = '}';
+    else job->label += "}";
+  } else {
+    INVERDA_ASSIGN_OR_RETURN(
+        m, owner_->ResolveMaterializationLocked(request.targets));
+    for (const std::string& t : request.targets) {
+      if (!job->label.empty()) job->label += ",";
+      job->label += t;
+    }
+  }
   INVERDA_RETURN_IF_ERROR(catalog.CheckValidMaterialization(m));
 
   std::set<SmoId> old_m = catalog.CurrentMaterialization();
-  if (old_m == m) {
-    // Nothing to move: record a trivially committed migration.
-    ResetProgress();
-    phase_.store(static_cast<int>(Phase::kDone), std::memory_order_release);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      label_ = std::move(label);
-      last_id_ += 1;
-      result_ = Status::OK();
-    }
-    mig_started_->Add(1);
-    mig_committed_->Add(1);
-    return Status::OK();
-  }
+  if (old_m == m) return false;
 
-  auto job = std::make_unique<Job>();
-  job->label = label;
   job->target_m = m;
   for (SmoId id : catalog.AllSmos()) {
     const SmoInstance& inst = catalog.smo(id);
@@ -205,7 +209,8 @@ Status MigrationCoordinator::StartLocked(const std::set<SmoId>& m,
     entry->tv = tv;
     entry->physical_name = catalog.DataTableName(tv);
     entry->component = catalog.ComponentOf(tv);
-    entry->key_stable = ComponentKeyStable(catalog, entry->component);
+    entry->key_stable =
+        capture && ComponentKeyStable(catalog, entry->component);
     job->entries.push_back(std::move(entry));
   }
   // Staged aux tables: the flipped side's newly required aux, always on the
@@ -240,27 +245,10 @@ Status MigrationCoordinator::StartLocked(const std::set<SmoId>& m,
       job->entries.push_back(std::move(entry));
     }
   }
-
-  // Staging succeeded — only now publish the new id/label, so a rejected
-  // admission never pairs a fresh id with the previous migration's
-  // phase/result in Snapshot().
-  ResetProgress();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    label_ = std::move(label);
-    last_id_ += 1;
-  }
-  abort_.store(false, std::memory_order_release);
-  phase_.store(static_cast<int>(Phase::kCopy), std::memory_order_release);
-  job_ = std::move(job);
-  // Go live: from here every top-level write reports into the delta logs.
-  owner_->access_.set_write_observer(this);
-  active_.store(true, std::memory_order_release);
-  mig_started_->Add(1);
-  return Status::OK();
+  return true;
 }
 
-void MigrationCoordinator::ResetProgress() {
+void MigrationCoordinator::Admit(std::string label, Phase phase) {
   rows_copied_.store(0);
   chunks_.store(0);
   keys_captured_.store(0);
@@ -269,6 +257,14 @@ void MigrationCoordinator::ResetProgress() {
   refreshes_.store(0);
   flip_keys_.store(0);
   flip_ns_.store(0);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    label_ = std::move(label);
+    last_id_ += 1;
+  }
+  abort_.store(false, std::memory_order_release);
+  phase_.store(static_cast<int>(phase), std::memory_order_release);
+  mig_started_->Add(1);
 }
 
 Status MigrationCoordinator::Wait() {
@@ -436,14 +432,22 @@ Status MigrationCoordinator::CatchUpPhase() {
 }
 
 Status MigrationCoordinator::FlipPhase() {
-  Job* job = job_.get();
+  std::unique_lock<std::shared_mutex> ddl(owner_->catalog_mu_);
+  Status flipped = FlipLocked(job_.get());
+  // Detach capture on every outcome: after a commit writes route into the
+  // new physical tables directly and need no replay.
+  owner_->access_.set_write_observer(nullptr);
+  return flipped;
+}
+
+Status MigrationCoordinator::FlipLocked(Job* job) {
   obs::ScopedTimer flip_timer(mig_flip_ns_);
   auto flip_start = std::chrono::steady_clock::now();
-  std::unique_lock<std::shared_mutex> ddl(owner_->catalog_mu_);
-  // Final drain. Captures happen under the shared catalog lock, so holding
+  // Final pass. Captures happen under the shared catalog lock, so holding
   // it exclusively makes the delta logs complete and frozen: replaying them
   // now is exact, and the remaining work is proportional to the keys
-  // written since the last catch-up round — the bounded flip window.
+  // written since the last catch-up round — the bounded flip window. The
+  // inline schedule captured nothing, so every entry derives wholesale here.
   int64_t flip_work = 0;
   for (const auto& ep : job->entries) {
     StagedEntry* e = ep.get();
@@ -459,9 +463,6 @@ Status MigrationCoordinator::FlipPhase() {
     INVERDA_RETURN_IF_ERROR(hooks_.before_flip_commit());
   }
   if (abort_.load(std::memory_order_acquire)) return AbortedStatus();
-  // Detach capture before the swap: after the epoch flip writes route into
-  // the new physical tables directly and need no replay.
-  owner_->access_.set_write_observer(nullptr);
   Status committed = CommitLocked(job);
   flip_ns_.store(std::chrono::duration_cast<std::chrono::nanoseconds>(
                      std::chrono::steady_clock::now() - flip_start)
@@ -641,7 +642,6 @@ Status MigrationCoordinator::RefreshEntry(StagedEntry* e, bool exclusive_held,
 }
 
 void MigrationCoordinator::Finish(Status status) {
-  bool aborted = !status.ok() && abort_.load(std::memory_order_acquire);
   // Quiesce capture: acquiring the catalog lock exclusively waits out every
   // in-flight writer (captures run under the shared lock), after which the
   // observer is detached and the staged state can be destroyed. On the
@@ -651,6 +651,11 @@ void MigrationCoordinator::Finish(Status status) {
     owner_->access_.set_write_observer(nullptr);
     job_.reset();
   }
+  Conclude(std::move(status));
+}
+
+void MigrationCoordinator::Conclude(Status status) {
+  bool aborted = !status.ok() && abort_.load(std::memory_order_acquire);
   Phase terminal = status.ok() ? Phase::kDone
                    : aborted   ? Phase::kAborted
                                : Phase::kFailed;

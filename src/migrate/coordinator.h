@@ -22,6 +22,7 @@
 namespace inverda {
 
 class Inverda;
+struct MaterializeRequest;
 
 namespace obs {
 struct Observability;
@@ -31,9 +32,9 @@ class Histogram;
 
 namespace migrate {
 
-/// Lifecycle of one background migration (docs/migration.md). kIdle only
-/// before the first Start; every admitted migration ends in exactly one of
-/// the three terminal phases.
+/// Lifecycle of one migration (docs/migration.md). kIdle only before the
+/// first one; every admitted migration ends in exactly one of the three
+/// terminal phases. The inline schedule goes straight to kFlip.
 enum class Phase {
   kIdle,     ///< no migration has run yet
   kCopy,     ///< chunked backfill of the staged tables under shared DDL
@@ -81,28 +82,32 @@ class WriteObserver {
 /// Test-only fault-injection and pacing hooks (install before Start; never
 /// used in production paths).
 struct TestHooks {
-  /// Called on entering each phase, outside all locks. Returning an error
-  /// fails the migration at that boundary; the unwind must leave the
-  /// engine exactly as before Start.
+  /// Called on entering each phase of the online schedule, outside all
+  /// locks. Returning an error fails the migration at that boundary; the
+  /// unwind must leave the engine exactly as before Start.
   std::function<Status(Phase)> on_phase;
   /// Called after each copied chunk / refresh, outside all locks — pacing
   /// for the under-traffic tests.
   std::function<void()> after_chunk;
-  /// Called inside the exclusive flip window, after the final drain but
-  /// before any physical table is touched.
+  /// Called inside the exclusive flip window of either schedule, after the
+  /// final drain but before any physical table is touched.
   std::function<Status()> before_flip_commit;
   /// Keys per copy chunk; 0 keeps the default (512).
   int chunk_keys = 0;
 };
 
-/// Background, non-blocking MATERIALIZE (docs/migration.md): copies the
-/// target physical tables chunk-by-chunk while readers and writers keep
-/// running under the normal shared DDL lock, captures concurrent writes
-/// through a key-scoped delta log fed by the access layer's write observer,
-/// replays them in catch-up rounds, and commits with a brief exclusive
-/// epoch flip. Abort or failure at any phase before the commit leaves the
-/// live database bit-for-bit untouched (staging happens off to the side and
-/// the materialization epoch never moves).
+/// The migration engine behind MATERIALIZE (docs/migration.md), with two
+/// schedules of one staging step, one derivation (RefreshEntry/DrainEntry)
+/// and one commit. Online (Start): copies the target physical tables
+/// chunk-by-chunk while readers and writers keep running under the normal
+/// shared DDL lock, captures concurrent writes through a key-scoped delta
+/// log fed by the access layer's write observer, replays them in catch-up
+/// rounds, and commits with a brief exclusive epoch flip. Inline
+/// (RunInlineLocked): the blocking MATERIALIZE — stage, derive wholesale
+/// and commit inside the caller's exclusive section. Abort or failure at
+/// any phase before the commit leaves the live database bit-for-bit
+/// untouched (staging happens off to the side and the materialization
+/// epoch never moves).
 ///
 /// One migration runs at a time. The facade rejects all other DDL while a
 /// migration is active, so the genealogy the coordinator captured at Start
@@ -115,14 +120,19 @@ class MigrationCoordinator : public WriteObserver {
   MigrationCoordinator(const MigrationCoordinator&) = delete;
   MigrationCoordinator& operator=(const MigrationCoordinator&) = delete;
 
-  /// Admits a background migration to the materialization implied by
-  /// `targets` ("Version" or "Version.table", as MATERIALIZE). Returns once
-  /// the migration is staged and the capture hook is live; the copy runs on
-  /// a background thread. Rejects with InvalidState when one is active.
-  Status Start(const std::vector<std::string>& targets);
+  /// Admits a background migration to the materialization `request` names
+  /// (its targets — "Version" or "Version.table", as MATERIALIZE — or its
+  /// explicit schema). Returns once the migration is staged and the capture
+  /// hook is live; the copy runs on a background thread. Rejects with
+  /// InvalidState when one is active.
+  Status Start(const MaterializeRequest& request);
 
-  /// Start for an explicit materialization schema (by SMO instance ids).
-  Status StartSchema(const std::set<SmoId>& m);
+  /// The stop-the-world schedule of the same migration: stages the job
+  /// Start would stage, derives every staged table wholesale and commits,
+  /// all inside the caller's critical section — no write capture, no delta
+  /// log, no thread. Requires the facade's exclusive catalog lock, taken
+  /// after its no-active-migration check; never takes start_mu_.
+  Status RunInlineLocked(const MaterializeRequest& request);
 
   /// Blocks until no migration is active and returns the terminal status
   /// of the last migration (OK when none ever ran). Must not be called
@@ -180,7 +190,6 @@ class MigrationCoordinator : public WriteObserver {
   /// exclusive catalog lock; entry addresses are stable for the lifetime
   /// of the job (capture threads index into them).
   struct Job {
-    int64_t id = 0;
     std::string label;
     std::set<SmoId> target_m;
     std::vector<SmoId> flipping;
@@ -191,20 +200,26 @@ class MigrationCoordinator : public WriteObserver {
 
   using DerivedRows = std::vector<std::pair<int64_t, std::optional<Row>>>;
 
-  /// Stages the job and installs the capture hook. Requires start_mu_ and
-  /// the facade's exclusive catalog lock; publishes a new migration id only
-  /// once staging succeeded, so a rejected admission leaves the previous
+  /// The staging step both schedules share: resolves `request` to its
+  /// materialization schema, validates it and fills `job` with the flipping
+  /// SMOs, the old and new physical sets and one empty entry per newly
+  /// physical data or aux table. Touches no live state. Returns false when
+  /// the schema is already current (the job then holds only its label).
+  /// `capture` marks the entries that key-scoped capture can keep fresh;
+  /// without it every entry derives wholesale. Requires the exclusive
+  /// catalog lock.
+  Result<bool> StageLocked(const MaterializeRequest& request, bool capture,
+                           Job* job);
+
+  /// Publishes a freshly admitted migration: zeroes the progress counters,
+  /// assigns the next id and the label, enters `phase`. Called only once
+  /// staging succeeded, so a rejected admission leaves the previous
   /// migration's snapshot intact.
-  Status StartLocked(const std::set<SmoId>& m, std::string label);
+  void Admit(std::string label, Phase phase);
 
   /// Rejects when active; joins the previous worker otherwise. Caller must
   /// hold start_mu_.
   Status Reap();
-
-  /// Zeroes the per-migration progress counters. Runs at admission (both
-  /// the real and the trivial no-op path) so Snapshot() never pairs a new
-  /// migration id with the previous migration's counters.
-  void ResetProgress();
 
   void Run();  // worker thread body
   Status RunPhases();
@@ -213,6 +228,12 @@ class MigrationCoordinator : public WriteObserver {
   Status CopyPhase();
   Status CatchUpPhase();
   Status FlipPhase();
+
+  /// The exclusive flip window of either schedule: brings every entry up to
+  /// date (final delta-log drain for captured entries, wholesale refresh
+  /// for the rest) and commits. Records the window as flip_keys/flip_ns.
+  /// Requires the exclusive catalog lock.
+  Status FlipLocked(Job* job);
 
   /// The commit: drop stale tables, install staged content, flip the
   /// materialization bits, bump the epoch (last, so every failure path
@@ -240,7 +261,11 @@ class MigrationCoordinator : public WriteObserver {
   Status RefreshEntry(StagedEntry* e, bool exclusive_held, int64_t* work);
 
   Status AbortedStatus() const;
+  /// Worker exit: detaches capture, destroys the job, then Conclude.
   void Finish(Status status);
+  /// Records the terminal phase, result and counters of the current
+  /// migration and wakes Wait().
+  void Conclude(Status status);
 
   Inverda* owner_;
   obs::Observability* obs_;
@@ -278,17 +303,17 @@ class MigrationCoordinator : public WriteObserver {
   // the shared lock, so the pointer never races.
   std::unique_ptr<Job> job_;
 
-  mutable std::mutex mu_;  // guards label_/result_/next_id_ and the cv
+  mutable std::mutex mu_;  // guards label_/result_/last_id_ and the cv
   std::condition_variable cv_;
   std::string label_;
   Status result_;
   int64_t last_id_ = 0;
 
-  /// Serializes admission: held across Reap, StartLocked and the worker_
-  /// spawn, so two concurrent Start/StartSchema calls can never both pass
-  /// the active() check (the loser would overwrite job_ under the winner's
-  /// live worker and assign to a still-joinable worker_). Acquired before
-  /// catalog_mu_; never taken by the worker thread.
+  /// Serializes admission: held across Reap, staging and the worker_
+  /// spawn, so two concurrent Start calls can never both pass the active()
+  /// check (the loser would overwrite job_ under the winner's live worker
+  /// and assign to a still-joinable worker_). Acquired before catalog_mu_;
+  /// never taken by the worker thread or the inline schedule.
   std::mutex start_mu_;
   std::thread worker_;
   TestHooks hooks_;

@@ -68,7 +68,7 @@ struct ConcurrentOptions {
   /// the client on error.
   bool tolerate_rejections = false;
   /// Optional one-shot migration fired mid-workload on its own thread
-  /// (e.g. MaterializeOnline + WaitForMigration). It starts once the
+  /// (e.g. an online Materialize + WaitForMigration). It starts once the
   /// clients completed `migrate_after_ops` operations in total, runs to
   /// completion exactly once, and its status lands in
   /// ConcurrentResult::migrate_status. Operations that complete while it

@@ -13,7 +13,6 @@
 #include "handwritten/reference_sql.h"
 #include "inverda/inverda.h"
 #include "test_seed.h"
-#include "workload/advisor.h"
 
 namespace inverda {
 namespace {
@@ -295,38 +294,29 @@ TEST_P(AdvisorGenealogyTest, FullWorkloadRecommendsVersionMaterialization) {
 INSTANTIATE_TEST_SUITE_P(Seeds, AdvisorGenealogyTest,
                          ::testing::Values(1, 2, 3, 5, 8));
 
-// --- legacy shim ------------------------------------------------------------
+// --- explicit weights ---------------------------------------------------
 
-// The deprecated free function delegates to the subsystem; same winner,
-// all candidates reported, and the new validation applies to it too.
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-#endif
-TEST_F(AdvisorTest, LegacyShimMatchesNewAdvisor) {
-  const std::map<std::string, double> weights = {{"TasKy", 0.2},
-                                                 {"TasKy2", 0.8}};
-  Result<AdvisorRecommendation> legacy =
-      RecommendMaterialization(db_.catalog(), weights);
-  ASSERT_TRUE(legacy.ok()) << legacy.status().ToString();
-  EXPECT_EQ(legacy->candidate_costs.size(), 5u);
-
-  Result<AdviseReport> report = db_.Advise(WeightsOnly(weights));
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(legacy->materialization, report->best().materialization);
-  EXPECT_DOUBLE_EQ(legacy->expected_cost,
-                   legacy->candidate_costs.at(report->best().label));
+// Explicit weights with the uniform hop model price each candidate as the
+// weighted average of 1 + propagation distance: a workload wholly on a
+// version that the winner stores physically costs exactly 1 per op.
+TEST_F(AdvisorTest, UniformWeightsPriceLocalAccessAtOne) {
+  for (const std::string version : {"TasKy", "Do!", "TasKy2"}) {
+    Result<AdviseReport> report = db_.Advise(WeightsOnly({{version, 1.0}}));
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_DOUBLE_EQ(report->best().total_cost, 1.0) << version;
+    for (const CandidateScore& candidate : report->ranked) {
+      EXPECT_GE(candidate.total_cost, 1.0) << candidate.label;
+    }
+  }
 }
 
-TEST_F(AdvisorTest, LegacyShimValidatesWeights) {
-  EXPECT_FALSE(RecommendMaterialization(db_.catalog(), {}).ok());
-  EXPECT_FALSE(
-      RecommendMaterialization(db_.catalog(), {{"TasKy", -1.0}}).ok());
-  EXPECT_FALSE(RecommendMaterialization(db_.catalog(), {{"TasKy", 0.0}}).ok());
+// Every degenerate weight vector is rejected: a lone negative or zero
+// weight, and no weights at all on an instance without traffic to profile.
+TEST_F(AdvisorTest, RejectsDegenerateWeightVectors) {
+  EXPECT_FALSE(db_.Advise(WeightsOnly({{"TasKy", -1.0}})).ok());
+  EXPECT_FALSE(db_.Advise(WeightsOnly({{"TasKy", 0.0}})).ok());
+  EXPECT_FALSE(db_.Advise(WeightsOnly({})).ok());
 }
-#if defined(__GNUC__) || defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 }  // namespace
 }  // namespace inverda

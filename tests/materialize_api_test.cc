@@ -1,6 +1,5 @@
-// The unified Materialize(MaterializeRequest) entry point and the four
-// deprecated compatibility shims it replaced. One call shape covers all
-// four old surfaces: targets-vs-schema × blocking-vs-online(-nowait).
+// The unified Materialize(MaterializeRequest) entry point. One call shape
+// covers targets-vs-schema × blocking-vs-online(-nowait).
 
 #include <gtest/gtest.h>
 
@@ -84,6 +83,52 @@ TEST_F(MaterializeApiTest, OnlineNoWaitReturnsImmediately) {
   EXPECT_EQ(db_.Select("TasKy", "Task")->size(), 30u);
 }
 
+TEST_F(MaterializeApiTest, SchemaOnlineNoWait) {
+  Result<std::vector<std::set<SmoId>>> schemas =
+      db_.catalog().EnumerateValidMaterializations(/*limit=*/16);
+  ASSERT_TRUE(schemas.ok());
+  const std::set<SmoId> current = db_.catalog().CurrentMaterialization();
+  for (const std::set<SmoId>& m : *schemas) {
+    if (m == current) continue;
+    ASSERT_TRUE(db_.Materialize(MaterializeRequest::Schema(
+                                    m, /*online=*/true, /*wait=*/false))
+                    .ok());
+    ASSERT_TRUE(db_.WaitForMigration().ok());
+    EXPECT_EQ(db_.catalog().CurrentMaterialization(), m);
+    break;
+  }
+  EXPECT_EQ(db_.Select("TasKy", "Task")->size(), 30u);
+}
+
+// A blocking run is the coordinator's inline schedule: it gets a migration
+// id, a terminal phase and the migrate.* counters like an online one.
+TEST_F(MaterializeApiTest, BlockingRunsShowInMigrationState) {
+  obs::MetricsRegistry& metrics = db_.Metrics();
+  ASSERT_TRUE(db_.Materialize(MaterializeRequest::Targets({"TasKy2"})).ok());
+  migrate::MigrationStatus done = db_.MigrationState();
+  EXPECT_EQ(done.id, 1);
+  EXPECT_EQ(done.phase, migrate::Phase::kDone);
+  EXPECT_EQ(done.label, "TasKy2");
+  EXPECT_FALSE(done.active);
+  EXPECT_GT(done.refreshes, 0);
+  EXPECT_EQ(metrics.counter("migrate.started")->value(), 1);
+  EXPECT_EQ(metrics.counter("migrate.committed")->value(), 1);
+
+  // A commit that fails (its target name is occupied) counts as failed.
+  TvId todo = *db_.catalog().ResolveTable("Do!", "Todo");
+  ASSERT_TRUE(db_.db()
+                  .CreateTable(TableSchema(db_.catalog().DataTableName(todo),
+                                           {}))
+                  .ok());
+  EXPECT_FALSE(db_.Materialize(MaterializeRequest::Targets({"Do!"})).ok());
+  migrate::MigrationStatus failed = db_.MigrationState();
+  EXPECT_EQ(failed.id, 2);
+  EXPECT_EQ(failed.phase, migrate::Phase::kFailed);
+  EXPECT_FALSE(failed.result.ok());
+  EXPECT_EQ(metrics.counter("migrate.failed")->value(), 1);
+  EXPECT_EQ(db_.Select("Do!", "Todo")->size(), 10u);
+}
+
 TEST_F(MaterializeApiTest, RejectsBothTargetsAndSchema) {
   MaterializeRequest request;
   request.targets = {"TasKy2"};
@@ -98,57 +143,6 @@ TEST_F(MaterializeApiTest, RejectsEmptyRequest) {
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
 }
-
-// --- deprecated shims -------------------------------------------------------
-// Each shim must keep compiling (with a note, not an error) and behave
-// exactly like the unified request it forwards to.
-
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-TEST_F(MaterializeApiTest, DeprecatedMaterializeTargets) {
-  ASSERT_TRUE(db_.Materialize(std::vector<std::string>{"TasKy2"}).ok());
-  EXPECT_TRUE(Physical("TasKy2", "Task"));
-  EXPECT_EQ(db_.Select("TasKy", "Task")->size(), 30u);
-}
-
-TEST_F(MaterializeApiTest, DeprecatedMaterializeSchema) {
-  Result<std::vector<std::set<SmoId>>> schemas =
-      db_.catalog().EnumerateValidMaterializations(/*limit=*/16);
-  ASSERT_TRUE(schemas.ok());
-  const std::set<SmoId> current = db_.catalog().CurrentMaterialization();
-  for (const std::set<SmoId>& m : *schemas) {
-    if (m == current) continue;
-    ASSERT_TRUE(db_.MaterializeSchema(m).ok());
-    EXPECT_EQ(db_.catalog().CurrentMaterialization(), m);
-    break;
-  }
-  EXPECT_EQ(db_.Select("TasKy", "Task")->size(), 30u);
-}
-
-TEST_F(MaterializeApiTest, DeprecatedMaterializeOnline) {
-  ASSERT_TRUE(db_.MaterializeOnline({"TasKy2"}).ok());
-  ASSERT_TRUE(db_.WaitForMigration().ok());
-  EXPECT_TRUE(Physical("TasKy2", "Task"));
-  EXPECT_EQ(db_.Select("TasKy", "Task")->size(), 30u);
-}
-
-TEST_F(MaterializeApiTest, DeprecatedMaterializeSchemaOnline) {
-  Result<std::vector<std::set<SmoId>>> schemas =
-      db_.catalog().EnumerateValidMaterializations(/*limit=*/16);
-  ASSERT_TRUE(schemas.ok());
-  const std::set<SmoId> current = db_.catalog().CurrentMaterialization();
-  for (const std::set<SmoId>& m : *schemas) {
-    if (m == current) continue;
-    ASSERT_TRUE(db_.MaterializeSchemaOnline(m).ok());
-    ASSERT_TRUE(db_.WaitForMigration().ok());
-    EXPECT_EQ(db_.catalog().CurrentMaterialization(), m);
-    break;
-  }
-  EXPECT_EQ(db_.Select("TasKy", "Task")->size(), 30u);
-}
-
-#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace inverda

@@ -113,7 +113,7 @@ TEST_F(MigrationFailureTest, RepeatedFailureThenSuccessKeepsStateClean) {
 
 // --- online (background) migration fault injection --------------------------
 //
-// MaterializeOnline runs copy/catch-up on a worker thread and commits in a
+// An online Materialize runs copy/catch-up on a worker thread and commits in a
 // brief exclusive flip. Faults injected at every phase boundary (coordinator
 // TestHooks) must unwind to exactly the pre-migration state: materialization,
 // plan-cache epoch, physical tables, and every version's view.
@@ -253,7 +253,7 @@ TEST_F(OnlineMigrationFailureTest, DdlIsRejectedWhileMigrationInFlight) {
     EXPECT_EQ(s.code(), StatusCode::kInvalidState) << what;
   };
   expect_rejected(db_.Materialize(MaterializeRequest::Targets({"Do!"})), "Materialize");
-  expect_rejected(db_.Materialize(MaterializeRequest::Targets({"Do!"}, /*online=*/true, /*wait=*/false)), "second MaterializeOnline");
+  expect_rejected(db_.Materialize(MaterializeRequest::Targets({"Do!"}, /*online=*/true, /*wait=*/false)), "second online Materialize");
   expect_rejected(db_.Execute("CREATE SCHEMA VERSION Late FROM TasKy WITH "
                               "ADD COLUMN late INT AS 0 INTO Task;"),
                   "CREATE SCHEMA VERSION");
@@ -279,7 +279,7 @@ TEST_F(OnlineMigrationFailureTest, DdlIsRejectedWhileMigrationInFlight) {
 
 TEST_F(OnlineMigrationFailureTest, ConcurrentStartsAdmitExactlyOne) {
   // Admission is serialized by the coordinator's start mutex: when many
-  // threads race MaterializeOnline, exactly one is admitted and every other
+  // threads race an online Materialize, exactly one is admitted and every other
   // gets InvalidState — never a second job overwriting the first's staged
   // state or a re-assignment of the live worker thread.
   std::mutex mu;

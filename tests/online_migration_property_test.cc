@@ -1,13 +1,21 @@
-// Lockstep equivalence: an online migration (MaterializeOnline — chunked
-// copy under shared locks + delta-log capture + brief exclusive flip) must
-// be observationally identical to the stop-the-world Materialize it
-// replaces. Twin instances get the same random genealogy and the same
-// interleaved DML stream; instance A migrates online *while* the DML is
-// applied (a phase gate guarantees the overlap), instance B migrates
-// stop-the-world afterwards — every version's final view must agree.
-// Fault injection at each phase boundary additionally proves that a
-// migration failing mid-flight leaves A exactly equal to an untouched B,
-// with the materialization and plan-cache epoch restored bit-for-bit.
+// Lockstep equivalence: an online migration (Materialize with
+// request.online — chunked copy under shared locks + delta-log capture +
+// brief exclusive flip) must be observationally identical to the blocking
+// Materialize. Both are schedules of the one MigrationCoordinator engine:
+// the blocking one stages, derives and commits inline. Twin instances get
+// the same random genealogy and the same interleaved DML stream; instance
+// A migrates online *while* the DML is applied (a phase gate guarantees
+// the overlap), instance B migrates inline afterwards — every version's
+// final view must agree. Fault injection at each phase boundary
+// additionally proves that a migration failing mid-flight leaves A exactly
+// equal to an untouched B, with the materialization and plan-cache epoch
+// restored bit-for-bit.
+//
+// Since one engine could make both twins wrong together, a TasKy case also
+// checks both schedules against a test-side client model (PutGet): every
+// row a client wrote reads back as last written through its own version.
+// Random genealogies only build DECOMPOSE ON PK, so this is the suite's
+// DECOMPOSE ON FK coverage.
 //
 // Replay with INVERDA_TEST_SEED=<seed>.
 
@@ -16,6 +24,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -25,6 +34,7 @@
 #include "inverda/inverda.h"
 #include "test_seed.h"
 #include "util/random.h"
+#include "workload/tasky.h"
 
 namespace inverda {
 namespace {
@@ -291,6 +301,140 @@ TEST(OnlineMigrationPropertyTest, AbortRequestRestoresOrCommitsAtomically) {
     ASSERT_TRUE(b.Materialize(MaterializeRequest::Targets({target})).ok());
   }
   ExpectTwinsEqual(&a, &b, "final convergence");
+}
+
+// --- TasKy against a client model -------------------------------------------
+
+// One TasKy client per version, each owning a disjoint set of tasks and
+// remembering the row it last wrote for each of them.
+struct TaskyClient {
+  std::string version;
+  std::string table;
+  std::vector<int64_t> keys;
+  std::map<int64_t, Row> written;
+};
+
+// Rewrites one owned row through the client's own version: authors move
+// between existing and brand-new names, TasKy2 keeps its foreign key and
+// rewrites the task text. Do! rows keep prio 1 (they stay visible in Do!).
+void ClientWrite(Inverda* db, TaskyClient* client, Random* rng, int round) {
+  int64_t key = client->keys[rng->NextUint64(client->keys.size())];
+  Result<std::optional<Row>> current = db->Get(client->version, client->table,
+                                               key);
+  ASSERT_TRUE(current.ok() && current->has_value())
+      << client->version << "@" << key;
+  Row row = **current;
+  const std::string author =
+      rng->NextUint64(4) == 0 ? "new" + std::to_string(round)
+                              : "author" + std::to_string(rng->NextUint64(8));
+  const std::string task = "t" + std::to_string(round);
+  if (client->version == "TasKy") {
+    row = {Value::String(author), Value::String(task),
+           Value::Int(2 + rng->NextInt64(0, 1))};
+  } else if (client->version == "Do!") {
+    row = {Value::String(author), Value::String(task)};
+  } else {
+    row[0] = Value::String(task);
+  }
+  Status status = db->Update(client->version, client->table, key, row);
+  ASSERT_TRUE(status.ok()) << client->version << "@" << key << ": "
+                           << status.ToString();
+  client->written[key] = row;
+}
+
+void ExpectClientsReadOwnWrites(Inverda* db,
+                                const std::vector<TaskyClient>& clients,
+                                const std::string& context) {
+  for (const TaskyClient& client : clients) {
+    for (const auto& [key, row] : client.written) {
+      Result<std::optional<Row>> got = db->Get(client.version, client.table,
+                                               key);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      ASSERT_TRUE(got->has_value())
+          << context << ": " << client.version << "@" << key << " vanished";
+      EXPECT_EQ(RowToString(**got), RowToString(row))
+          << context << ": " << client.version << "@" << key;
+    }
+  }
+}
+
+// MATERIALIZE TasKy2; MATERIALIZE TasKy; client writes; MATERIALIZE TasKy2.
+// Online, the writes land while the last migration copies and catches up.
+void TaskyClientModel(bool online) {
+  const uint64_t seed = TestSeed(71);
+  INVERDA_TRACE_SEED(seed);
+  TaskyOptions options;
+  options.num_tasks = 150;
+  options.num_authors = 8;
+  options.seed = seed;
+  Result<TaskyScenario> scenario = BuildTasky(options);
+  ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+  Inverda* db = scenario->db.get();
+  auto schedule = [online](const char* target) {
+    return MaterializeRequest::Targets({target}, online);
+  };
+  ASSERT_TRUE(db->Materialize(schedule("TasKy2")).ok());
+  ASSERT_TRUE(db->Materialize(schedule("TasKy")).ok());
+
+  std::vector<TaskyClient> clients = {{"TasKy", "Task", {}, {}},
+                                      {"Do!", "Todo", {}, {}},
+                                      {"TasKy2", "Task", {}, {}}};
+  Result<std::vector<KeyedRow>> tasks = db->Select("TasKy", "Task");
+  ASSERT_TRUE(tasks.ok());
+  for (size_t i = 0; i < tasks->size(); ++i) {
+    const size_t slot = i % 3;
+    if (slot == 1 && !((*tasks)[i].row[2] == Value::Int(1))) continue;
+    clients[slot].keys.push_back((*tasks)[i].key);
+  }
+  for (const TaskyClient& client : clients) ASSERT_FALSE(client.keys.empty());
+
+  std::mutex gate_mu;
+  std::condition_variable gate_cv;
+  bool writes_done = false;
+  if (online) {
+    migrate::TestHooks hooks;
+    hooks.chunk_keys = 4;
+    hooks.on_phase = [&](migrate::Phase phase) {
+      if (phase == migrate::Phase::kFlip) {
+        std::unique_lock<std::mutex> lock(gate_mu);
+        gate_cv.wait(lock, [&] { return writes_done; });
+      }
+      return Status::OK();
+    };
+    db->set_migration_test_hooks(hooks);
+    ASSERT_TRUE(db->Materialize(MaterializeRequest::Targets(
+                                    {"TasKy2"}, /*online=*/true,
+                                    /*wait=*/false))
+                    .ok());
+  }
+  Random rng(seed * 13 + 1);
+  for (int round = 0; round < 90; ++round) {
+    ClientWrite(db, &clients[static_cast<size_t>(round) % 3], &rng, round);
+    if (::testing::Test::HasFatalFailure()) break;
+  }
+  {
+    std::lock_guard<std::mutex> lock(gate_mu);
+    writes_done = true;
+  }
+  gate_cv.notify_all();
+  if (online) {
+    ASSERT_TRUE(db->WaitForMigration().ok());
+    db->set_migration_test_hooks({});
+  } else {
+    ASSERT_TRUE(db->Materialize(schedule("TasKy2")).ok());
+  }
+  if (::testing::Test::HasFatalFailure()) return;
+  ASSERT_TRUE(db->catalog().IsPhysical(
+      *db->catalog().ResolveTable("TasKy2", "Task")));
+  ExpectClientsReadOwnWrites(db, clients, online ? "online" : "inline");
+}
+
+TEST(OnlineMigrationPropertyTest, TaskyClientsReadOwnWritesInline) {
+  TaskyClientModel(/*online=*/false);
+}
+
+TEST(OnlineMigrationPropertyTest, TaskyClientsReadOwnWritesOnline) {
+  TaskyClientModel(/*online=*/true);
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Migration-under-traffic stress: client threads pinned to different schema
 // versions run mixed workloads while a MigrationCoordinator moves the
-// materialization underneath them (MaterializeOnline — chunked background
+// materialization underneath them (online Materialize — chunked background
 // copy, delta-log capture, brief exclusive flip; docs/migration.md). The
 // coordinator is paced through its test hooks so the copy and catch-up
 // phases demonstrably overlap the workload, and the oracle is exact:

@@ -129,6 +129,13 @@ TEST_P(ShardPropertyTest, SingleVsMultiShardLockstep) {
   for (const std::set<SmoId>& m : *schemas) {
     ASSERT_TRUE(single.Materialize(MaterializeRequest::Schema(m)).ok());
     ASSERT_TRUE(sharded.Materialize(MaterializeRequest::Schema(m)).ok());
+    // Staged tables are installed with the store's shard count, not the
+    // process default.
+    for (const std::string& name : sharded.db().TableNames()) {
+      EXPECT_EQ((*sharded.db().GetTable(name))->shard_count(),
+                sharded.shards())
+          << name;
+    }
     auto va = testutil::Snapshot(&single);
     auto vb = testutil::Snapshot(&sharded);
     std::string diff = testutil::DiffSnapshots(va, vb);

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "expr/parser.h"
 #include "handwritten/reference_sql.h"
 #include "inverda/inverda.h"
+#include "util/random.h"
+#include "workload/tasky.h"
 
 namespace inverda {
 namespace {
@@ -182,6 +187,115 @@ TEST_F(TaskyTest, AllVersionsAgreeOnTaskCount) {
   EXPECT_EQ(db_.Select("TasKy", "Task")->size(), 6u);
   EXPECT_EQ(db_.Select("TasKy2", "Task")->size(), 6u);
   EXPECT_EQ(db_.Select("Do!", "Todo")->size(), 3u);  // prio-1 tasks only
+}
+
+// --- DECOMPOSE ON FK identities under direct writes --------------------------
+//
+// While TasKy holds the data, TasKy2.Task's foreign keys are remembered in
+// the IDR aux table. A write through TasKy changes a task's author without
+// passing the DECOMPOSE kernel, so the remembered key must not outlive the
+// author it was assigned for.
+
+// TasKy.Task = TasKy2.Task ⋈ TasKy2.Author, row for row.
+void ExpectJoinHolds(Inverda* db, const std::string& context) {
+  Result<std::vector<KeyedRow>> tasks = db->Select("TasKy", "Task");
+  ASSERT_TRUE(tasks.ok()) << tasks.status().ToString();
+  for (const KeyedRow& task : *tasks) {
+    if (task.row[1].is_null()) continue;  // ω row: an author without tasks
+    Result<std::optional<Row>> normalized =
+        db->Get("TasKy2", "Task", task.key);
+    ASSERT_TRUE(normalized.ok() && normalized->has_value())
+        << context << ": task " << task.key;
+    const Value& fk = (**normalized)[2];
+    ASSERT_TRUE(fk.is_int()) << context << ": task " << task.key;
+    Result<std::optional<Row>> author =
+        db->Get("TasKy2", "Author", fk.AsInt());
+    ASSERT_TRUE(author.ok() && author->has_value())
+        << context << ": author " << fk.AsInt();
+    EXPECT_TRUE((**author)[0] == task.row[0])
+        << context << ": task " << task.key << " is by "
+        << task.row[0].ToString() << " but references "
+        << (**author)[0].ToString();
+  }
+}
+
+TEST(FkIdentityTest, DirectTaskyWriteRetargetsTasKy2Reference) {
+  Inverda db;
+  ASSERT_TRUE(db.Execute(BidelInitialScript()).ok());
+  ASSERT_TRUE(db.Execute(BidelEvolutionScript()).ok());
+  std::vector<int64_t> keys;
+  for (int i = 0; i < 5; ++i) {
+    keys.push_back(*db.Insert("TasKy", "Task",
+                              {Value::String("author" + std::to_string(i % 3)),
+                               Value::String("task" + std::to_string(i)),
+                               Value::Int(1)}));
+  }
+  // The scan assigns every task its author id.
+  ASSERT_TRUE(db.Select("TasKy2", "Task").ok());
+
+  // Task 3 moves from author0 to the existing author1 ...
+  ASSERT_TRUE(db.Update("TasKy", "Task", keys[3],
+                        {Value::String("author1"), Value::String("task3"),
+                         Value::Int(1)})
+                  .ok());
+  Row moved = **db.Get("TasKy2", "Task", keys[3]);
+  EXPECT_EQ(moved[2].ToString(),
+            (**db.Get("TasKy2", "Task", keys[1]))[2].ToString());
+  EXPECT_EQ((**db.Get("TasKy2", "Author", moved[2].AsInt()))[0].ToString(),
+            Value::String("author1").ToString());
+  ExpectJoinHolds(&db, "existing author");
+
+  // ... and task 4 to an author nobody had before.
+  ASSERT_TRUE(db.Update("TasKy", "Task", keys[4],
+                        {Value::String("author9"), Value::String("task4"),
+                         Value::Int(1)})
+                  .ok());
+  ExpectJoinHolds(&db, "new author");
+  EXPECT_EQ(db.Select("TasKy2", "Author")->size(), 4u);
+}
+
+// MATERIALIZE TasKy2; MATERIALIZE TasKy; author updates through TasKy;
+// MATERIALIZE TasKy2 — every update must survive, under either schedule.
+void AuthorUpdatesSurviveMigration(bool online) {
+  TaskyOptions options;
+  options.num_tasks = 200;
+  Result<TaskyScenario> scenario = BuildTasky(options);
+  ASSERT_TRUE(scenario.ok()) << scenario.status().ToString();
+  Inverda* db = scenario->db.get();
+  auto materialize = [&](const char* target) {
+    return db->Materialize(MaterializeRequest::Targets({target}, online));
+  };
+  ASSERT_TRUE(materialize("TasKy2").ok());
+  ASSERT_TRUE(materialize("TasKy").ok());
+
+  Random rng(11);
+  std::map<int64_t, Value> written;  // key -> author last written
+  const std::vector<int64_t>& keys = scenario->task_keys;
+  for (int i = 0; i < 50; ++i) {
+    int64_t key = keys[rng.NextUint64(keys.size())];
+    Row row = **db->Get("TasKy", "Task", key);
+    row[0] = Value::String(
+        "author" + std::to_string(rng.NextUint64(
+                       static_cast<uint64_t>(options.num_authors))));
+    ASSERT_TRUE(db->Update("TasKy", "Task", key, row).ok());
+    written[key] = row[0];
+  }
+  ASSERT_TRUE(materialize("TasKy2").ok());
+
+  int lost = 0;
+  for (const auto& [key, author] : written) {
+    if (!((**db->Get("TasKy", "Task", key))[0] == author)) ++lost;
+  }
+  EXPECT_EQ(lost, 0) << "of " << written.size() << " updated tasks";
+  ExpectJoinHolds(db, online ? "online" : "blocking");
+}
+
+TEST(FkIdentityTest, AuthorUpdatesSurviveBlockingMigration) {
+  AuthorUpdatesSurviveMigration(/*online=*/false);
+}
+
+TEST(FkIdentityTest, AuthorUpdatesSurviveOnlineMigration) {
+  AuthorUpdatesSurviveMigration(/*online=*/true);
 }
 
 }  // namespace
