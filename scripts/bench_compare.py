@@ -74,7 +74,8 @@ def extract_fig8_overhead(doc):
                       "writes_tasky2_ms"):
             if cell in doc and field in doc[cell]:
                 metrics[f"{cell}.{field}"] = ("lower", doc[cell][field])
-    checks = {"locality_shape_check": doc.get("locality_shape_check")}
+    checks = {"locality_shape_check": doc.get("locality_shape_check"),
+              "sweep_flat_check": doc.get("sweep_flat_check")}
     return metrics, checks
 
 

@@ -51,6 +51,16 @@ struct AuxDef {
   std::vector<Column> payload;
   SmoSide side = SmoSide::kSource;
   bool both_sides = false;
+  /// Payload column the physical table indexes (value -> keys), or -1.
+  int indexed_column = -1;
+
+  /// The schema of this aux table's physical table `physical_name`,
+  /// including its declared index.
+  TableSchema PhysicalSchema(std::string physical_name) const {
+    TableSchema schema(std::move(physical_name), payload);
+    schema.set_indexed_column(indexed_column);
+    return schema;
+  }
 };
 
 /// Abstract base of all SMOs. An Smo value is a pure description: the

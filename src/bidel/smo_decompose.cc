@@ -87,10 +87,12 @@ std::vector<AuxDef> DecomposeSmo::AuxTables(
       // IDR(p, t): the assigned foreign key per source row, physically kept
       // while the data lives on the source side; when the target side is
       // materialized it is derivable from S's fk column (rules 150-152).
+      // Indexed on t: the write path asks "which rows reference t?".
       return {AuxDef{"IDR",
                      {Column{"t", DataType::kInt64}},
                      SmoSide::kSource,
-                     /*both_sides=*/false}};
+                     /*both_sides=*/false,
+                     /*indexed_column=*/0}};
     case VerticalMethod::kCondition: {
       // ID(r, s, t): generated ids of the decomposition, kept on both sides
       // (B.4). R-(s, t): combinations removed on the source side that the

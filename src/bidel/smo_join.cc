@@ -65,9 +65,12 @@ std::vector<AuxDef> JoinSmo::AuxTables(
     case VerticalMethod::kFk:
       // IDR(p, t): which right-hand tuple each joined row came from; kept
       // while the join result is the physical side (mirror of DECOMPOSE ON
-      // FK's source-side IDR).
-      aux.push_back(AuxDef{
-          "IDR", {Column{"t", DataType::kInt64}}, SmoSide::kTarget, false});
+      // FK's source-side IDR), indexed on t like it.
+      aux.push_back(AuxDef{"IDR",
+                           {Column{"t", DataType::kInt64}},
+                           SmoSide::kTarget,
+                           /*both_sides=*/false,
+                           /*indexed_column=*/0});
       break;
     case VerticalMethod::kCondition:
       // ID(r, s, t): generated ids of joined combinations, kept on both

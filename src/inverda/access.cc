@@ -181,6 +181,7 @@ AccessLayer::KernelMetrics* AccessLayer::MetricsForKernel(
     slot.metrics.derive_ns = obs_->metrics.histogram(base + ".derive_ns");
     slot.metrics.propagate_ns = obs_->metrics.histogram(base + ".propagate_ns");
     slot.metrics.derive_rows = obs_->metrics.counter(base + ".derive_rows");
+    slot.metrics.rows_visited = obs_->metrics.counter(base + ".rows_visited");
     // Publish last: readers that see the kernel pointer see wired metrics.
     slot.kernel.store(kernel, std::memory_order_release);
     return &slot.metrics;
@@ -838,8 +839,18 @@ Status AccessLayer::ApplyToVersionImpl(TvId tv, const WriteSet& writes) {
   }
   KernelMetrics* km = nullptr;
   if (timed) km = MetricsForKernel(step.kernel);
-  obs::ScopedTimer kernel_timer(km != nullptr ? km->propagate_ns : nullptr);
-  return step.Propagate(writes);
+  // Rows visited are counted per step, exclusive of nested propagate steps:
+  // each one restores its caller's tally on the way out.
+  const int64_t outer_visits = ExchangeRowsVisited(0);
+  Status status;
+  {
+    obs::ScopedTimer kernel_timer(km != nullptr ? km->propagate_ns : nullptr);
+    status = step.Propagate(writes);
+  }
+  const int64_t visited = ExchangeRowsVisited(outer_visits);
+  if (step_span) step_span->rows_visited = visited;
+  if (km != nullptr) km->rows_visited->Add(visited);
+  return status;
 }
 
 }  // namespace inverda

@@ -69,8 +69,8 @@ Status Inverda::ProvisionSmo(SmoId id) {
        catalog_.PhysicalAuxNames(id, inst.materialized)) {
     for (const AuxDef& def : inst.aux_defs) {
       if (def.short_name != aux) continue;
-      TableSchema schema(catalog_.AuxTableName(id, aux), def.payload);
-      INVERDA_RETURN_IF_ERROR(db_.CreateTable(std::move(schema)));
+      INVERDA_RETURN_IF_ERROR(
+          db_.CreateTable(def.PhysicalSchema(catalog_.AuxTableName(id, aux))));
     }
   }
   return Status::OK();

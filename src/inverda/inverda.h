@@ -303,6 +303,7 @@ class AccessLayer : public AccessBackend {
     obs::Histogram* derive_ns = nullptr;
     obs::Histogram* propagate_ns = nullptr;
     obs::Counter* derive_rows = nullptr;
+    obs::Counter* rows_visited = nullptr;  // propagate steps (RowsVisited)
   };
   KernelMetrics* MetricsForKernel(const Kernel* kernel);
 

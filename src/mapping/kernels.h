@@ -88,7 +88,8 @@ class JoinPkKernel : public Kernel {
 /// DECOMPOSE ON FK / [OUTER] JOIN ON FK (B.3): the combined table
 /// R(p, A, B) versus S(p, A, fk) and a deduplicated T(t, B). Fresh t ids
 /// are drawn from the global sequence and memoized per payload; IDR(p, t)
-/// keeps the assignment while the combined side holds the data.
+/// keeps the assignment while the combined side holds the data, indexed on
+/// t so left-hand writes look up a tuple's referrers instead of scanning.
 class FkKernel : public Kernel {
  public:
   const char* name() const override { return "fk"; }

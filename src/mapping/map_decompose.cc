@@ -382,9 +382,11 @@ bool IsStaleAssignment(const SmoContext& ctx, int64_t t, const Row& b) {
   return !ctx.memo->Names("T", t, b).value_or(true);
 }
 
-// Scans the physical-side representation to find the payload of the right-
-// hand tuple `t` when the combined side holds the data: either a row whose
-// IDR entry equals t, or an unreferenced right tuple stored under key t.
+// Finds the payload of the right-hand tuple `t` when the combined side
+// holds the data: either an unreferenced right tuple stored under key t, or
+// the first row (in key order) whose IDR entry still names t. IDR's index
+// on t hands out exactly the rows that name t, so this visits 1 + the
+// dead or stale entries before the first current one.
 Result<std::optional<Row>> FindRightPayloadFromCombined(
     const SmoContext& ctx, const VerticalRoles& roles, Table* idr,
     int64_t t) {
@@ -394,21 +396,20 @@ Result<std::optional<Row>> FindRightPayloadFromCombined(
   if (direct && AllNull(APart(roles, *direct))) {
     return std::optional<Row>(BPart(roles, *direct));
   }
-  // Otherwise: any referencing row whose IDR entry is still current.
   std::optional<Row> found;
   Status status = Status::OK();
-  idr->Scan([&](int64_t p, const Row& row) {
-    if (found || !status.ok()) return;
-    if (row[0].is_null() || row[0].AsInt() != t) return;
+  idr->ScanIndex(t, [&](int64_t p) {
     Result<std::optional<Row>> combined =
         ctx.backend->FindVersion(roles.combined->id, p);
     if (!combined.ok()) {
       status = combined.status();
-      return;
+      return false;
     }
-    if (!*combined) return;
+    if (!*combined) return true;
     Row b = BPart(roles, **combined);
-    if (!IsStaleAssignment(ctx, t, b)) found = std::move(b);
+    if (IsStaleAssignment(ctx, t, b)) return true;
+    found = std::move(b);
+    return false;
   });
   INVERDA_RETURN_IF_ERROR(status);
   return found;
@@ -416,24 +417,31 @@ Result<std::optional<Row>> FindRightPayloadFromCombined(
 
 // True if any IDR entry other than `except_key` references `t` through a
 // still-existing combined row that still carries t's payload (stale IDR
-// entries from direct physical writes are ignored).
+// entries from direct physical writes are ignored). Stops at the first
+// such referrer.
 bool IsReferenced(const SmoContext& ctx, const VerticalRoles& roles,
                   Table* idr, int64_t t, std::optional<int64_t> except_key) {
-  std::vector<int64_t> candidates;
-  idr->Scan([&](int64_t p, const Row& row) {
-    if (except_key && p == *except_key) return;
-    if (!row[0].is_null() && row[0].AsInt() == t && p != t) {
-      candidates.push_back(p);
-    }
-  });
-  for (int64_t p : candidates) {
+  bool referenced = false;
+  idr->ScanIndex(t, [&](int64_t p) {
+    if (p == t || (except_key && p == *except_key)) return true;
     Result<std::optional<Row>> row =
         ctx.backend->FindVersion(roles.combined->id, p);
-    if (row.ok() && *row && !IsStaleAssignment(ctx, t, BPart(roles, **row))) {
-      return true;
-    }
-  }
-  return false;
+    referenced = row.ok() && *row &&
+                 !IsStaleAssignment(ctx, t, BPart(roles, **row));
+    return !referenced;
+  });
+  return referenced;
+}
+
+// The keys of every IDR entry naming `t`, ascending (collected up front:
+// the callers rewrite those entries while they walk the list).
+std::vector<int64_t> Referrers(const Table& idr, int64_t t) {
+  std::vector<int64_t> keys;
+  idr.ScanIndex(t, [&](int64_t p) {
+    keys.push_back(p);
+    return true;
+  });
+  return keys;
 }
 
 // Resolves the right-hand id for one combined row (p, a, b) while the
@@ -917,8 +925,8 @@ Status PropagateLeftWrite(const SmoContext& ctx, const VerticalRoles& roles,
 // Write on the right/T table while the combined side holds the data.
 Status PropagateRightWrite(const SmoContext& ctx, const VerticalRoles& roles,
                            Table* idr, int width, const WriteOp& op) {
-  // Make sure every combined row has its id assigned so the IDR scans see
-  // the complete reference relation.
+  // Make sure every combined row has its id assigned so the IDR lookups see
+  // the complete reference relation (the one O(n) step left on this path).
   INVERDA_RETURN_IF_ERROR(WarmAssignments(ctx, roles, idr));
   INVERDA_ASSIGN_OR_RETURN(
       std::optional<Row> existing,
@@ -935,13 +943,7 @@ Status PropagateRightWrite(const SmoContext& ctx, const VerticalRoles& roles,
     case WriteOp::Kind::kUpdate: {
       if (!existing) return Status::OK();
       // Update every combined row referencing this tuple.
-      std::vector<int64_t> referencing;
-      idr->Scan([&](int64_t p, const Row& row) {
-        if (!row[0].is_null() && row[0].AsInt() == op.key) {
-          referencing.push_back(p);
-        }
-      });
-      for (int64_t p : referencing) {
+      for (int64_t p : Referrers(*idr, op.key)) {
         INVERDA_ASSIGN_OR_RETURN(std::optional<Row> row,
                                  ctx.backend->FindVersion(roles.combined->id, p));
         if (!row) continue;
@@ -963,13 +965,8 @@ Status PropagateRightWrite(const SmoContext& ctx, const VerticalRoles& roles,
     }
     case WriteOp::Kind::kDelete: {
       if (!existing) return Status::OK();
-      std::vector<int64_t> referencing;
-      idr->Scan([&](int64_t p, const Row& row) {
-        if (p != op.key && !row[0].is_null() && row[0].AsInt() == op.key) {
-          referencing.push_back(p);
-        }
-      });
-      for (int64_t p : referencing) {
+      for (int64_t p : Referrers(*idr, op.key)) {
+        if (p == op.key) continue;
         INVERDA_ASSIGN_OR_RETURN(std::optional<Row> row,
                                  ctx.backend->FindVersion(roles.combined->id, p));
         if (!row) continue;

@@ -149,6 +149,7 @@ Status ParallelBatchFromTable(const Table& table, RowBatch* out) {
   // ranges, so a full sort (keys are unique) restores the global order.
   std::sort(merged.begin(), merged.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
+  CountRowsVisited(static_cast<int64_t>(merged.size()));
 
   const int64_t base = out->size();
   const int64_t n = static_cast<int64_t>(merged.size());

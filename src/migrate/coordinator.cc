@@ -234,8 +234,8 @@ Result<bool> MigrationCoordinator::StageLocked(
         return Status::Internal("aux definition missing: " + aux);
       }
       std::string physical_name = catalog.AuxTableName(id, aux);
-      auto entry = std::make_unique<StagedEntry>(Table(
-          TableSchema(physical_name, def->payload), owner_->db_.shards()));
+      auto entry = std::make_unique<StagedEntry>(
+          Table(def->PhysicalSchema(physical_name), owner_->db_.shards()));
       entry->aux_smo = id;
       entry->aux_short = aux;
       entry->physical_name = std::move(physical_name);

@@ -69,8 +69,11 @@ std::string TraceSpan::ToJson() const {
   }
   if (!note.empty()) out += ",\"note\":\"" + JsonEscape(note) + "\"";
   out += ",\"rows_in\":" + std::to_string(rows_in) +
-         ",\"rows_out\":" + std::to_string(rows_out) +
-         ",\"duration_ns\":" + std::to_string(duration_ns);
+         ",\"rows_out\":" + std::to_string(rows_out);
+  if (name == "propagate") {
+    out += ",\"rows_visited\":" + std::to_string(rows_visited);
+  }
+  out += ",\"duration_ns\":" + std::to_string(duration_ns);
   if (!children.empty()) {
     out += ",\"children\":[";
     for (size_t i = 0; i < children.size(); ++i) {

@@ -48,6 +48,9 @@ struct TraceSpan {
 
   int64_t rows_in = 0;   // writes carried into this span
   int64_t rows_out = 0;  // rows produced by this span
+  // Propagate spans: table rows the step's kernel read (storage RowsVisited),
+  // nested propagate steps excluded.
+  int64_t rows_visited = 0;
   int64_t start_ns = 0;  // monotonic clock, see obs::NowNanos
   int64_t duration_ns = 0;
 

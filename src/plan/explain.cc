@@ -137,7 +137,11 @@ std::string RenderTrace(const obs::TraceSpan& root, const std::string& title) {
     out += "          observed: " + step->name + " " +
            std::to_string(step->duration_ns) + " ns, rows in " +
            std::to_string(step->rows_in) + ", rows out " +
-           std::to_string(step->rows_out) + "\n";
+           std::to_string(step->rows_out);
+    if (step->name == "propagate") {
+      out += ", rows visited " + std::to_string(step->rows_visited);
+    }
+    out += "\n";
   }
   out += "  observed total: " + std::to_string(root.duration_ns) +
          " ns, rows in " + std::to_string(root.rows_in) + ", rows out " +

@@ -59,6 +59,12 @@ class TableSchema {
   Result<std::vector<int>> ColumnIndexes(
       const std::vector<std::string>& names) const;
 
+  /// The payload column whose values a physical table indexes (value ->
+  /// ascending keys, see Table::ScanIndex), or -1 for none. An access path,
+  /// not content: equality and ToString ignore it.
+  int indexed_column() const { return indexed_column_; }
+  void set_indexed_column(int column) { indexed_column_ = column; }
+
   bool operator==(const TableSchema& other) const {
     return name_ == other.name_ && columns_ == other.columns_;
   }
@@ -69,6 +75,7 @@ class TableSchema {
  private:
   std::string name_;
   std::vector<Column> columns_;
+  int indexed_column_ = -1;
 };
 
 }  // namespace inverda

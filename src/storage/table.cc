@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <optional>
 
 namespace inverda {
 
@@ -21,6 +22,41 @@ void Table::InsortKey(std::vector<int64_t>* order, int64_t key) {
 void Table::RemoveKey(std::vector<int64_t>* order, int64_t key) {
   auto it = std::lower_bound(order->begin(), order->end(), key);
   if (it != order->end() && *it == key) order->erase(it);
+}
+
+namespace {
+
+// The index entry of `row` under indexed column `column`: its cell when
+// that is a non-NULL integer, nothing otherwise.
+std::optional<int64_t> IndexedValue(const Row* row, int column) {
+  if (row == nullptr) return std::nullopt;
+  const Value& cell = (*row)[static_cast<size_t>(column)];
+  if (!cell.is_int()) return std::nullopt;
+  return cell.AsInt();
+}
+
+}  // namespace
+
+void Table::Reindex(int64_t key, const Row* before, const Row* after) {
+  if (index_.empty()) return;
+  const int column = schema_.indexed_column();
+  std::optional<int64_t> from = IndexedValue(before, column);
+  std::optional<int64_t> to = IndexedValue(after, column);
+  if (from == to) return;
+  ValueIndex& index = index_[static_cast<size_t>(ShardOfKey(key))];
+  if (from) {
+    auto it = index.find(*from);
+    it->second.erase(key);
+    if (it->second.empty()) index.erase(it);
+  }
+  if (to) index[*to].insert(key);
+}
+
+void Table::RebuildIndex() {
+  index_.assign(schema_.indexed_column() >= 0 ? buckets_.size() : 0, {});
+  for (const Bucket& bucket : buckets_) {
+    for (const auto& [key, row] : bucket) Reindex(key, nullptr, &row);
+  }
 }
 
 std::vector<std::pair<int64_t, const Row*>> Table::ShardItems(
@@ -74,10 +110,12 @@ void Table::Reshard(int shards) {
     }
     std::sort(keys.begin(), keys.end());
   }
+  RebuildIndex();
   Touch();
 }
 
 const Row* Table::Find(int64_t key) const {
+  CountRowsVisited(1);
   const Bucket& bucket = BucketFor(key);
   auto it = bucket.find(key);
   return it == bucket.end() ? nullptr : &it->second;
@@ -90,13 +128,13 @@ Status Table::Insert(int64_t key, Row row) {
         schema_.ToString());
   }
   auto [it, inserted] = BucketFor(key).emplace(key, std::move(row));
-  (void)it;
   if (!inserted) {
     return Status::ConstraintViolation("duplicate key " + std::to_string(key) +
                                        " in " + schema_.name());
   }
   size_.fetch_add(1, std::memory_order_acq_rel);
   InsortKey(&OrderFor(key), key);
+  Reindex(key, nullptr, &it->second);
   Touch();
   return Status::OK();
 }
@@ -113,6 +151,7 @@ Status Table::Update(int64_t key, Row row) {
     return Status::NotFound("key " + std::to_string(key) + " not in " +
                             schema_.name());
   }
+  Reindex(key, &it->second, &row);
   it->second = std::move(row);
   Touch();
   return Status::OK();
@@ -124,19 +163,25 @@ Status Table::Upsert(int64_t key, Row row) {
         "row width " + std::to_string(row.size()) + " does not match schema " +
         schema_.ToString());
   }
-  Bucket& bucket = BucketFor(key);
-  auto [it, inserted] = bucket.insert_or_assign(key, std::move(row));
-  (void)it;
+  auto [it, inserted] = BucketFor(key).try_emplace(key);
   if (inserted) {
     size_.fetch_add(1, std::memory_order_acq_rel);
     InsortKey(&OrderFor(key), key);
+    Reindex(key, nullptr, &row);
+  } else {
+    Reindex(key, &it->second, &row);
   }
+  it->second = std::move(row);
   Touch();
   return Status::OK();
 }
 
 bool Table::Erase(int64_t key) {
-  if (BucketFor(key).erase(key) == 0) return false;
+  Bucket& bucket = BucketFor(key);
+  auto it = bucket.find(key);
+  if (it == bucket.end()) return false;
+  Reindex(key, &it->second, nullptr);
+  bucket.erase(it);
   size_.fetch_sub(1, std::memory_order_acq_rel);
   RemoveKey(&OrderFor(key), key);
   Touch();
@@ -146,11 +191,13 @@ bool Table::Erase(int64_t key) {
 void Table::Clear() {
   for (Bucket& bucket : buckets_) bucket.clear();
   for (std::vector<int64_t>& keys : order_) keys.clear();
+  for (ValueIndex& index : index_) index.clear();
   size_.store(0, std::memory_order_release);
   Touch();
 }
 
 void Table::Scan(const std::function<void(int64_t, const Row&)>& fn) const {
+  CountRowsVisited(size());
   if (shard_count() == 1) {
     const Bucket& bucket = buckets_[0];
     for (int64_t key : order_[0]) fn(key, bucket.find(key)->second);
@@ -159,7 +206,36 @@ void Table::Scan(const std::function<void(int64_t, const Row&)>& fn) const {
   for (const auto& [key, row] : SortedItems()) fn(key, *row);
 }
 
+void Table::ScanIndex(int64_t value,
+                      const std::function<bool(int64_t)>& fn) const {
+  // One ascending run per shard holding `value`, merged lazily so an early
+  // stop visits only the keys it consumed.
+  using Run = std::pair<std::set<int64_t>::const_iterator,
+                        std::set<int64_t>::const_iterator>;
+  std::vector<Run> runs;
+  for (const ValueIndex& index : index_) {
+    auto it = index.find(value);
+    if (it != index.end()) {
+      runs.emplace_back(it->second.begin(), it->second.end());
+    }
+  }
+  while (true) {
+    Run* next = nullptr;
+    for (Run& run : runs) {
+      if (run.first != run.second &&
+          (next == nullptr || *run.first < *next->first)) {
+        next = &run;
+      }
+    }
+    if (next == nullptr) return;
+    const int64_t key = *next->first++;
+    CountRowsVisited(1);
+    if (!fn(key)) return;
+  }
+}
+
 std::vector<KeyedRow> Table::Rows() const {
+  CountRowsVisited(size());
   std::vector<KeyedRow> out;
   out.reserve(static_cast<size_t>(size()));
   for (const auto& [key, row] : SortedItems()) out.push_back({key, *row});
@@ -167,6 +243,7 @@ std::vector<KeyedRow> Table::Rows() const {
 }
 
 std::vector<int64_t> Table::Keys() const {
+  CountRowsVisited(size());
   if (shard_count() == 1) return order_[0];
   std::vector<int64_t> out;
   out.reserve(static_cast<size_t>(size()));

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <set>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -15,6 +16,25 @@
 #include "util/status.h"
 
 namespace inverda {
+
+namespace storage_internal {
+inline thread_local int64_t rows_visited = 0;
+}  // namespace storage_internal
+
+/// Rows the calling thread has read from tables so far: one per point probe
+/// (Find), one per row a scan hands out, one per entry an index lookup
+/// visits. Writes do not count. The tally is a plain per-thread integer,
+/// always on; the access layer exchanges it around each propagate step to
+/// attribute the visits to that step's kernel (`kernel.<name>.rows_visited`
+/// and the span's `rows_visited`).
+inline int64_t RowsVisited() { return storage_internal::rows_visited; }
+inline void CountRowsVisited(int64_t n) { storage_internal::rows_visited += n; }
+/// Sets the calling thread's tally to `value` and returns the old one.
+inline int64_t ExchangeRowsVisited(int64_t value) {
+  int64_t old = storage_internal::rows_visited;
+  storage_internal::rows_visited = value;
+  return old;
+}
 
 /// A physical table of the relational substrate: a row store keyed by the
 /// InVerDa-managed identifier `p`. The key is unique per table, which gives
@@ -33,6 +53,11 @@ namespace inverda {
 /// deterministic and the same data reads identically at any S — the
 /// invariant the golden tests, the kernels and the cross-validation suites
 /// rely on.
+///
+/// A schema may declare one indexed payload column
+/// (TableSchema::indexed_column): the table then maintains, per shard, the
+/// ascending keys of the rows carrying each value of that column, so
+/// ScanIndex finds the rows holding a value without a scan.
 class Table {
  public:
   /// `shards` <= 0 takes the process default (INVERDA_SHARDS, else 1).
@@ -40,7 +65,8 @@ class Table {
       : schema_(std::move(schema)),
         buckets_(static_cast<size_t>(
             shards <= 0 ? DefaultShardCount() : ClampShardCount(shards))),
-        order_(buckets_.size()) {}
+        order_(buckets_.size()),
+        index_(schema_.indexed_column() >= 0 ? buckets_.size() : 0) {}
 
   // Value semantics over the atomic epoch stamp and row counter: copies
   // share their original's stamp (identical content), moves carry it
@@ -50,12 +76,14 @@ class Table {
       : schema_(other.schema_),
         buckets_(other.buckets_),
         order_(other.order_),
+        index_(other.index_),
         size_(other.size_.load(std::memory_order_acquire)),
         epoch_(other.epoch_.load(std::memory_order_acquire)) {}
   Table& operator=(const Table& other) {
     schema_ = other.schema_;
     buckets_ = other.buckets_;
     order_ = other.order_;
+    index_ = other.index_;
     size_.store(other.size_.load(std::memory_order_acquire),
                 std::memory_order_release);
     epoch_.store(other.epoch_.load(std::memory_order_acquire),
@@ -66,12 +94,14 @@ class Table {
       : schema_(std::move(other.schema_)),
         buckets_(std::move(other.buckets_)),
         order_(std::move(other.order_)),
+        index_(std::move(other.index_)),
         size_(other.size_.load(std::memory_order_acquire)),
         epoch_(other.epoch_.load(std::memory_order_acquire)) {}
   Table& operator=(Table&& other) noexcept {
     schema_ = std::move(other.schema_);
     buckets_ = std::move(other.buckets_);
     order_ = std::move(other.order_);
+    index_ = std::move(other.index_);
     size_.store(other.size_.load(std::memory_order_acquire),
                 std::memory_order_release);
     epoch_.store(other.epoch_.load(std::memory_order_acquire),
@@ -81,7 +111,10 @@ class Table {
 
   const TableSchema& schema() const { return schema_; }
   void set_schema(TableSchema schema) {
+    const bool reindex =
+        schema.indexed_column() != schema_.indexed_column();
     schema_ = std::move(schema);
+    if (reindex) RebuildIndex();
     Touch();
   }
 
@@ -111,7 +144,8 @@ class Table {
 
   /// The rows of one shard as (key, payload pointer) pairs in ascending
   /// key order — the unit of shard-parallel scans. Pointers stay valid
-  /// until the next mutation of this shard.
+  /// until the next mutation of this shard. Runs on pool threads, so it
+  /// leaves the RowsVisited tally to its caller.
   std::vector<std::pair<int64_t, const Row*>> ShardItems(int shard) const;
 
   /// Re-buckets every row into `shards` shards (caller must hold the table
@@ -142,6 +176,13 @@ class Table {
 
   /// Calls `fn(key, row)` for every row in ascending key order.
   void Scan(const std::function<void(int64_t, const Row&)>& fn) const;
+
+  /// Calls `fn(key)` for every row whose indexed column holds `value`, in
+  /// ascending key order, until `fn` returns false. Rows with a NULL or
+  /// non-integer indexed cell are not indexed. Visits only the keys it
+  /// hands out: O(S + visited) for S shards, independent of the table
+  /// size. `fn` must not mutate this table. Requires an indexed column.
+  void ScanIndex(int64_t value, const std::function<bool(int64_t)>& fn) const;
 
   /// All rows as keyed tuples, ascending by key.
   std::vector<KeyedRow> Rows() const;
@@ -185,6 +226,16 @@ class Table {
   static void InsortKey(std::vector<int64_t>* order, int64_t key);
   static void RemoveKey(std::vector<int64_t>* order, int64_t key);
 
+  // The value index of an indexed column: per shard, value -> ascending
+  // keys of that shard's rows carrying it (no shards without an indexed
+  // column). It lives beside order_ and is written by the same mutations
+  // under the same latch, so it inherits order_'s synchronization. Reindex
+  // moves `key` from the value of `before` to the value of `after` (either
+  // may be null: insert / erase); RebuildIndex recomputes it from scratch.
+  using ValueIndex = std::unordered_map<int64_t, std::set<int64_t>>;
+  void Reindex(int64_t key, const Row* before, const Row* after);
+  void RebuildIndex();
+
   /// Every row of every shard, ascending by key.
   std::vector<std::pair<int64_t, const Row*>> SortedItems() const;
 
@@ -195,6 +246,7 @@ class Table {
   TableSchema schema_;
   std::vector<Bucket> buckets_;
   std::vector<std::vector<int64_t>> order_;
+  std::vector<ValueIndex> index_;
   std::atomic<int64_t> size_{0};
   std::atomic<uint64_t> epoch_{NextEpoch()};
 };

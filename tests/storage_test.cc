@@ -7,6 +7,8 @@
 
 #include "storage/database.h"
 #include "storage/table.h"
+#include "test_seed.h"
+#include "util/random.h"
 #include "util/shard.h"
 
 namespace inverda {
@@ -173,6 +175,128 @@ TEST(DatabaseTest, RestoreReshardsSnapshotTables) {
   db.Reshard(8);
   db.Restore(std::move(snap));
   EXPECT_EQ((*db.GetTable("t"))->shard_count(), 8);
+}
+
+// An IDR-shaped table: payload (t INT, note TEXT) indexed on t.
+TableSchema IndexedSchema() {
+  TableSchema schema("idr",
+                     {{"t", DataType::kInt64}, {"note", DataType::kString}});
+  schema.set_indexed_column(0);
+  return schema;
+}
+
+std::vector<int64_t> IndexKeys(const Table& t, int64_t value) {
+  std::vector<int64_t> keys;
+  t.ScanIndex(value, [&](int64_t key) {
+    keys.push_back(key);
+    return true;
+  });
+  return keys;
+}
+
+// The full-scan oracle: ascending keys of the rows whose t is `value`.
+std::vector<int64_t> ScanKeys(const Table& t, int64_t value) {
+  std::vector<int64_t> keys;
+  t.Scan([&](int64_t key, const Row& row) {
+    if (row[0].is_int() && row[0].AsInt() == value) keys.push_back(key);
+  });
+  return keys;
+}
+
+constexpr int64_t kIndexValues = 6;  // t drawn from [0, kIndexValues)
+
+void ExpectIndexMatchesScan(const Table& t, const std::string& after) {
+  for (int64_t v = -1; v <= kIndexValues; ++v) {
+    ASSERT_EQ(IndexKeys(t, v), ScanKeys(t, v))
+        << "value " << v << " after " << after << " at "
+        << t.shard_count() << " shards";
+  }
+}
+
+TEST(TableIndexTest, MatchesFullScanOracleUnderRandomMutations) {
+  const uint64_t seed = TestSeed(20260);
+  INVERDA_TRACE_SEED(seed);
+  Random rng(seed);
+  Table t(IndexedSchema(), 1);
+  auto random_row = [&]() {
+    // NULL and a non-integer stand in for unindexed cells.
+    uint64_t pick = rng.NextUint64(10);
+    Value cell = pick == 0   ? Value::Null()
+                 : pick == 1 ? Value::String("x")
+                             : Value::Int(rng.NextInt64(0, kIndexValues - 1));
+    return Row{cell, Value::String(rng.NextString(2))};
+  };
+  for (int step = 0; step < 3000; ++step) {
+    const int64_t key = rng.NextInt64(0, 199);
+    // Key-level mutations are the common case; clear, clone, move,
+    // reshard and rename each take about one step in twenty.
+    const uint64_t roll = rng.NextUint64(20);
+    std::string op;
+    if (roll < 4) {
+      op = "insert";
+      (void)t.Insert(key, random_row());
+    } else if (roll < 7) {
+      op = "update";
+      (void)t.Update(key, random_row());
+    } else if (roll < 11) {
+      op = "upsert";
+      ASSERT_TRUE(t.Upsert(key, random_row()).ok());
+    } else if (roll < 14) {
+      op = "erase";
+      t.Erase(key);
+    } else if (roll == 14) {
+      op = rng.NextBool(0.1) ? "clear" : "no-op";
+      if (op == "clear") t.Clear();
+    } else if (roll == 15) {
+      op = "clone";
+      Table copy = t.Clone();
+      t = copy;  // copy assignment from a clone
+    } else if (roll == 16) {
+      op = "move";
+      Table moved(std::move(t));
+      t = std::move(moved);
+    } else if (roll == 17) {
+      op = "reshard";
+      t.Reshard(t.shard_count() == 1 ? 8 : 1);
+    } else {
+      op = "rename";
+      TableSchema schema = t.schema();
+      schema.set_name("idr2");
+      t.set_schema(std::move(schema));
+    }
+    ExpectIndexMatchesScan(t, op + " of key " + std::to_string(key));
+  }
+}
+
+TEST(TableIndexTest, ScanIndexStopsEarlyAndMergesShardsInKeyOrder) {
+  Table t(IndexedSchema(), 8);
+  for (int64_t k = 0; k < 64; ++k) {
+    ASSERT_TRUE(t.Insert(k, {Value::Int(k % 2), Value::String("")}).ok());
+  }
+  EXPECT_EQ(IndexKeys(t, 1), ScanKeys(t, 1));
+  std::vector<int64_t> first_two;
+  ExchangeRowsVisited(0);
+  t.ScanIndex(0, [&](int64_t key) {
+    first_two.push_back(key);
+    return first_two.size() < 2;
+  });
+  EXPECT_EQ(first_two, (std::vector<int64_t>{0, 2}));
+  EXPECT_EQ(RowsVisited(), 2);  // an early stop visits only what it consumed
+}
+
+TEST(TableIndexTest, DatabaseCarriesTheIndexThroughItsLifecycle) {
+  Database db(2);
+  ASSERT_TRUE(db.CreateTable(IndexedSchema()).ok());
+  Table* t = *db.GetTable("idr");
+  ASSERT_TRUE(t->Insert(5, {Value::Int(1), Value::String("")}).ok());
+  Database::SnapshotState snap = db.Snapshot();
+  ASSERT_TRUE(t->Update(5, {Value::Int(2), Value::String("")}).ok());
+  db.Restore(std::move(snap));
+  ASSERT_TRUE(db.RenameTable("idr", "idr_renamed").ok());
+  db.Reshard(8);
+  const Table* restored = *db.GetTableConst("idr_renamed");
+  EXPECT_EQ(IndexKeys(*restored, 1), (std::vector<int64_t>{5}));
+  EXPECT_TRUE(IndexKeys(*restored, 2).empty());
 }
 
 TEST(SequenceTest, MonotonicAndBumpable) {
