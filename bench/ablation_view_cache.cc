@@ -1,12 +1,15 @@
 // Ablation for the paper's future-work item (4), "optimized delta code":
-// the derived-view cache in the access layer. Compares the two
-// invalidation policies under a mixed 90/10 read/write workload over many
-// independent lineages:
+// the derived-view cache in the access layer. Compares two invalidation
+// policies under a mixed 90/10 read/write workload over many independent
+// lineages:
 //
 //   clear-all   drop every cached view on any write or migration (the
-//               original stub behaviour)
+//               original stub behaviour; emulated here by calling
+//               AccessLayer::InvalidateCache after each write and at the
+//               end of the migration)
 //   genealogy   drop only the views whose derivation path intersects the
 //               write's physical footprint / the flipped SMO instances
+//               (the access layer's policy)
 //
 // With writes confined to one lineage, genealogy-scoped invalidation keeps
 // the other lineages' cached views warm, while clear-all recomputes them
@@ -80,10 +83,11 @@ struct MixedResult {
 
 // The mixed workload: 90% scans of a random lineage's head version, 10%
 // inserts into lineage 0's base. Starts cold, warms every head once, then
-// measures steady state.
+// measures steady state. `clear_all` drops every cached view after each
+// write on top of the access layer's own genealogy-scoped invalidation.
 MixedResult RunMixed(inverda::Inverda* db,
                      const std::vector<Lineage>& lineages, int ops,
-                     uint64_t seed) {
+                     uint64_t seed, bool clear_all) {
   inverda::Random rng(seed);
   inverda::AccessLayer& access = db->access();
   access.InvalidateCache();
@@ -97,6 +101,7 @@ MixedResult RunMixed(inverda::Inverda* db,
       if (rng.NextUint64(10) == 0) {
         CheckOk(db->Insert(lineages[0].base, kTable, RandomRow(&rng)),
                 "write");
+        if (clear_all) access.InvalidateCache();
       } else {
         const Lineage& l = lineages[rng.NextUint64(lineages.size())];
         CheckOk(db->Select(l.head, kTable), "read");
@@ -110,10 +115,13 @@ MixedResult RunMixed(inverda::Inverda* db,
 }
 
 // One MATERIALIZE of lineage 1's head with every head cached: reports how
-// many cached views the migration evicts under the current mode.
+// many cached views the migration evicts (`clear_all`: every view left
+// after its flip is dropped too, as a clear-all flip would; dropping them
+// before it instead would make the migration's own backfill read miss and
+// refill the cache).
 long long MigrationEvictions(inverda::Inverda* db,
                              const std::vector<Lineage>& lineages,
-                             const std::string& target) {
+                             const std::string& target, bool clear_all) {
   inverda::AccessLayer& access = db->access();
   access.InvalidateCache();
   for (const Lineage& l : lineages) {
@@ -121,6 +129,7 @@ long long MigrationEvictions(inverda::Inverda* db,
   }
   db->ResetMetrics();
   CheckOk(db->Materialize(MaterializeRequest::Targets({target})), "materialize");
+  if (clear_all) access.InvalidateCache();
   return db->Metrics().value("view_cache.invalidations");
 }
 
@@ -163,10 +172,8 @@ int main(int argc, char** argv) {
   });
   db.access().set_cache_enabled(true);
 
-  db.access().set_cache_mode(inverda::AccessLayer::CacheMode::kClearAll);
-  MixedResult clear_all = RunMixed(&db, lineages, ops, 13);
-  db.access().set_cache_mode(inverda::AccessLayer::CacheMode::kGenealogy);
-  MixedResult genealogy = RunMixed(&db, lineages, ops, 13);
+  MixedResult clear_all = RunMixed(&db, lineages, ops, 13, true);
+  MixedResult genealogy = RunMixed(&db, lineages, ops, 13, false);
 
   std::printf("no cache (reads only):  %8.2f ms\n", no_cache_ms);
   std::printf(
@@ -181,12 +188,11 @@ int main(int argc, char** argv) {
       genealogy.invalidations);
 
   // Migration: flipping one lineage's SMOs must not evict the others.
-  db.access().set_cache_mode(inverda::AccessLayer::CacheMode::kClearAll);
-  long long evict_all = MigrationEvictions(&db, lineages, lineages[1].head);
+  long long evict_all =
+      MigrationEvictions(&db, lineages, lineages[1].head, true);
   CheckOk(db.Materialize(MaterializeRequest::Targets({lineages[1].base})), "restore");
-  db.access().set_cache_mode(inverda::AccessLayer::CacheMode::kGenealogy);
   long long evict_scoped =
-      MigrationEvictions(&db, lineages, lineages[1].head);
+      MigrationEvictions(&db, lineages, lineages[1].head, false);
   CheckOk(db.Materialize(MaterializeRequest::Targets({lineages[1].base})), "restore");
   std::printf(
       "\nMATERIALIZE %s with %d cached heads evicts: clear-all %lld, "

@@ -162,7 +162,6 @@ int main(int argc, char** argv) {
   // Reads must really traverse the chain in parallel: view cache off, so
   // the measurement covers the per-table latches and plan-cache hot path.
   db.access().set_cache_enabled(false);
-  db.access().set_plan_cache_enabled(true);
 
   PrintHeader("microbench_concurrency: multi-version read scaling");
   std::printf("hardware threads: %u, ops/client: %d\n\n", hw, ops);

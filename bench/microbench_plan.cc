@@ -1,17 +1,13 @@
-// Compiled access plans vs. the legacy per-access route resolution, and
-// kernel fusion vs. hop-by-hop execution.
+// Compiled access plans: kernel fusion vs. hop-by-hop execution.
 //
 // Builds a single-lineage genealogy of ADD COLUMN evolutions and times
-// point reads at the virtual head for propagation distances 1..16 in three
-// configurations. "legacy" disables the plan cache, so every access (and
-// every recursion level below it) re-resolves its route and re-assembles
-// its SMO context — exactly the per-access work the old AccessLayer did.
-// "unfused" serves every access from the epoch-pinned plan cache but
-// executes hop by hop (fusion and batching off). "fused" additionally
+// point reads at the virtual head for propagation distances 1..16 in two
+// configurations. Both serve every access from the epoch-pinned plan
+// cache. "unfused" executes hop by hop (fusion and batching off). "fused"
 // collapses the projection-only run into one fused step (plan/fused.h), so
 // a read at depth d performs one inner access plus d column ops instead of
 // d recursive derivations — the curve bends from linear-in-d toward flat.
-// The derived-view cache is off in all modes so reads really traverse the
+// The derived-view cache is off in both so reads really traverse the
 // chain.
 //
 //   microbench_plan [--quick] [--json <file>]
@@ -40,10 +36,8 @@ constexpr int kRows = 16;
 
 struct DepthResult {
   int depth = 0;
-  double legacy_ns = 0;
-  double compiled_ns = 0;  // plan cache on, fusion/batching off
-  double fused_ns = 0;     // plan cache on, fusion + batching on
-  double speedup = 0;        // legacy / compiled
+  double compiled_ns = 0;    // fusion/batching off
+  double fused_ns = 0;       // fusion + batching on
   double fused_speedup = 0;  // compiled / fused
   // Per-kernel span aggregates over the timed windows (JSON objects, see
   // bench::KernelSpansJson). The fused window accounts per *fused* step:
@@ -88,28 +82,21 @@ DepthResult RunDepth(int depth, int reps) {
     }
   };
 
-  // All three configurations must see the same rows.
-  db.access().set_plan_cache_enabled(true);
+  // Both configurations must see the same rows.
   std::vector<inverda::KeyedRow> fused_rows =
       CheckOk(db.Select(head, "tab"), "select fused");
   db.access().set_fusion_enabled(false);
   db.access().set_batch_enabled(false);
   std::vector<inverda::KeyedRow> compiled_rows =
       CheckOk(db.Select(head, "tab"), "select compiled");
-  db.access().set_plan_cache_enabled(false);
-  std::vector<inverda::KeyedRow> legacy_rows =
-      CheckOk(db.Select(head, "tab"), "select legacy");
-  if (compiled_rows.size() != legacy_rows.size() ||
-      fused_rows.size() != legacy_rows.size()) {
+  if (compiled_rows.size() != fused_rows.size()) {
     std::fprintf(stderr, "depth %d: row counts differ across configs\n",
                  depth);
     std::exit(1);
   }
   for (size_t i = 0; i < compiled_rows.size(); ++i) {
-    if (compiled_rows[i].key != legacy_rows[i].key ||
-        !inverda::RowsEqual(compiled_rows[i].row, legacy_rows[i].row) ||
-        fused_rows[i].key != legacy_rows[i].key ||
-        !inverda::RowsEqual(fused_rows[i].row, legacy_rows[i].row)) {
+    if (compiled_rows[i].key != fused_rows[i].key ||
+        !inverda::RowsEqual(compiled_rows[i].row, fused_rows[i].row)) {
       std::fprintf(stderr, "depth %d: rows differ across configs\n", depth);
       std::exit(1);
     }
@@ -118,13 +105,8 @@ DepthResult RunDepth(int depth, int reps) {
   DepthResult result;
   result.depth = depth;
 
-  db.access().set_plan_cache_enabled(false);
-  read_all();  // warm storage either way
-  result.legacy_ns = TimeMs(reps, read_all) * 1e6 / kRows;
-
   // Hop-by-hop compiled plans (fusion and batching stay off).
-  db.access().set_plan_cache_enabled(true);
-  read_all();  // compile + cache the plans once
+  read_all();  // warm storage; compile + cache the plans once
   db.ResetMetrics();  // aggregate spans over the timed window only
   db.Metrics().set_timing_enabled(true);
   result.compiled_ns = TimeMs(reps, read_all) * 1e6 / kRows;
@@ -142,8 +124,6 @@ DepthResult RunDepth(int depth, int reps) {
   result.fused_kernel_spans =
       inverda::bench::KernelSpansJson(db.Metrics().Snapshot());
 
-  result.speedup =
-      result.compiled_ns > 0 ? result.legacy_ns / result.compiled_ns : 0;
   result.fused_speedup =
       result.fused_ns > 0 ? result.compiled_ns / result.fused_ns : 0;
   return result;
@@ -161,24 +141,20 @@ int main(int argc, char** argv) {
   }
   const int reps = ScaledInt("INVERDA_PLAN_REPS", 200);
 
-  PrintHeader(
-      "microbench_plan: legacy resolution vs compiled plans vs fusion");
-  std::printf("%6s  %14s  %14s  %14s  %8s  %8s\n", "depth", "legacy ns/op",
-              "unfused ns/op", "fused ns/op", "plan spd", "fuse spd");
+  PrintHeader("microbench_plan: compiled plans, unfused vs fused");
+  std::printf("%6s  %14s  %14s  %8s\n", "depth", "unfused ns/op",
+              "fused ns/op", "fuse spd");
 
   std::vector<DepthResult> results;
   for (int depth : {1, 2, 4, 8, 16}) {
     DepthResult r = RunDepth(depth, reps);
-    std::printf("%6d  %14.0f  %14.0f  %14.0f  %7.2fx  %7.2fx\n", r.depth,
-                r.legacy_ns, r.compiled_ns, r.fused_ns, r.speedup,
-                r.fused_speedup);
+    std::printf("%6d  %14.0f  %14.0f  %7.2fx\n", r.depth, r.compiled_ns,
+                r.fused_ns, r.fused_speedup);
     results.push_back(r);
   }
 
-  bool faster_at_depth4 = true;
   bool fused_2x_at_depth16 = false;
   for (const DepthResult& r : results) {
-    if (r.depth >= 4 && r.speedup <= 1.0) faster_at_depth4 = false;
     if (r.depth == 16 && r.fused_speedup >= 2.0) fused_2x_at_depth16 = true;
   }
   // Curve bending: fused cost grows sub-linearly in depth (the whole run
@@ -191,9 +167,7 @@ int main(int argc, char** argv) {
       results.front().compiled_ns > 0
           ? results.back().compiled_ns / results.front().compiled_ns
           : 0;
-  std::printf("\nverdict: compiled plans %s than legacy at depth >= 4\n",
-              faster_at_depth4 ? "faster" : "NOT faster");
-  std::printf("verdict: fusion %s 2x over unfused at depth 16 (%.2fx)\n",
+  std::printf("\nverdict: fusion %s 2x over unfused at depth 16 (%.2fx)\n",
               fused_2x_at_depth16 ? ">=" : "NOT >=",
               results.back().fused_speedup);
   std::printf("depth 1 -> 16 cost growth: unfused %.1fx, fused %.1fx\n",
@@ -210,17 +184,13 @@ int main(int argc, char** argv) {
     for (size_t i = 0; i < results.size(); ++i) {
       const DepthResult& r = results[i];
       out << (i ? "," : "") << "{\"depth\":" << r.depth
-          << ",\"legacy_ns\":" << r.legacy_ns
           << ",\"compiled_ns\":" << r.compiled_ns
           << ",\"fused_ns\":" << r.fused_ns
-          << ",\"speedup\":" << r.speedup
           << ",\"fused_speedup\":" << r.fused_speedup
           << ",\"kernel_spans\":" << r.kernel_spans
           << ",\"fused_kernel_spans\":" << r.fused_kernel_spans << "}";
     }
-    out << "],\"compiled_faster_at_depth4\":"
-        << (faster_at_depth4 ? "true" : "false")
-        << ",\"fused_2x_at_depth16\":"
+    out << "],\"fused_2x_at_depth16\":"
         << (fused_2x_at_depth16 ? "true" : "false")
         << ",\"fused_growth_1_to_16\":" << fused_growth
         << ",\"unfused_growth_1_to_16\":" << unfused_growth << "}\n";

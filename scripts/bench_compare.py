@@ -48,7 +48,6 @@ def extract_microbench_plan(doc):
         metrics[f"depth{d}.compiled_ns"] = ("lower", row["compiled_ns"])
         if "fused_ns" in row:
             metrics[f"depth{d}.fused_ns"] = ("lower", row["fused_ns"])
-    checks["compiled_faster_at_depth4"] = doc.get("compiled_faster_at_depth4")
     if "fused_2x_at_depth16" in doc:
         checks["fused_2x_at_depth16"] = doc.get("fused_2x_at_depth16")
     return metrics, checks

@@ -1,8 +1,12 @@
 #include "expr/parser.h"
 
 #include <cctype>
+#include <charconv>
+#include <cstdint>
+#include <system_error>
 #include <vector>
 
+#include "bidel/source_span.h"
 #include "util/strings.h"
 
 namespace inverda {
@@ -19,6 +23,7 @@ enum class TokenKind {
 struct Token {
   TokenKind kind = TokenKind::kEnd;
   std::string text;
+  size_t offset = 0;  // byte offset of the token in the expression text
 };
 
 class Lexer {
@@ -40,24 +45,23 @@ class Lexer {
                 text_[pos_] == '_')) {
           ++pos_;
         }
-        tokens.push_back({TokenKind::kIdent, text_.substr(start, pos_ - start)});
+        tokens.push_back(
+            {TokenKind::kIdent, text_.substr(start, pos_ - start), start});
         continue;
       }
       if (std::isdigit(static_cast<unsigned char>(c))) {
         size_t start = pos_;
-        bool is_double = false;
         while (pos_ < text_.size() &&
                (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
                 text_[pos_] == '.')) {
-          if (text_[pos_] == '.') is_double = true;
           ++pos_;
         }
-        (void)is_double;
         tokens.push_back(
-            {TokenKind::kNumber, text_.substr(start, pos_ - start)});
+            {TokenKind::kNumber, text_.substr(start, pos_ - start), start});
         continue;
       }
       if (c == '\'') {
+        const size_t start = pos_;
         ++pos_;
         std::string value;
         bool closed = false;
@@ -78,7 +82,7 @@ class Lexer {
           return Status::InvalidArgument("unterminated string literal in: " +
                                          text_);
         }
-        tokens.push_back({TokenKind::kString, std::move(value)});
+        tokens.push_back({TokenKind::kString, std::move(value), start});
         continue;
       }
       // Two-character operators first.
@@ -86,7 +90,7 @@ class Lexer {
       bool matched = false;
       for (const char* op : kTwoChar) {
         if (text_.compare(pos_, 2, op) == 0) {
-          tokens.push_back({TokenKind::kOperator, op});
+          tokens.push_back({TokenKind::kOperator, op, pos_});
           pos_ += 2;
           matched = true;
           break;
@@ -95,14 +99,14 @@ class Lexer {
       if (matched) continue;
       static const std::string kOneChar = "=<>+-*/%(),";
       if (kOneChar.find(c) != std::string::npos) {
-        tokens.push_back({TokenKind::kOperator, std::string(1, c)});
+        tokens.push_back({TokenKind::kOperator, std::string(1, c), pos_});
         ++pos_;
         continue;
       }
       return Status::InvalidArgument(std::string("unexpected character '") +
                                      c + "' in: " + text_);
     }
-    tokens.push_back({TokenKind::kEnd, ""});
+    tokens.push_back({TokenKind::kEnd, "", pos_});
     return tokens;
   }
 
@@ -113,7 +117,8 @@ class Lexer {
 
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  Parser(const std::string& text, std::vector<Token> tokens)
+      : text_(text), tokens_(std::move(tokens)) {}
 
   Result<ExprPtr> Parse() {
     INVERDA_ASSIGN_OR_RETURN(ExprPtr expr, ParseOr());
@@ -144,6 +149,55 @@ class Parser {
     return false;
   }
 
+  std::string Where(const Token& token) const {
+    const LineCol at = LocateOffset(text_, token.offset);
+    return std::to_string(at.line) + ":" + std::to_string(at.column);
+  }
+
+  // Runs `parse` one nesting level deeper: a parenthesised or argument
+  // sub-expression, a unary minus or a NOT, opened by `opener`. Past
+  // kMaxExpressionDepth the parse fails instead of exhausting the stack.
+  template <typename Parse>
+  Result<ExprPtr> Nested(const Token& opener, Parse parse) {
+    if (depth_ == kMaxExpressionDepth) {
+      return Status::InvalidArgument(
+          "expression nested deeper than " +
+          std::to_string(kMaxExpressionDepth) + " levels at " +
+          Where(opener));
+    }
+    ++depth_;
+    Result<ExprPtr> result = parse();
+    --depth_;
+    return result;
+  }
+
+  // A numeric token as an INT (no '.') or DOUBLE literal; a literal that
+  // does not fit the type is an error, not an exception.
+  Result<ExprPtr> NumberLiteral(const Token& token) const {
+    const char* first = token.text.data();
+    const char* last = first + token.text.size();
+    std::from_chars_result parsed;
+    Value value;
+    if (token.text.find('.') != std::string::npos) {
+      double d = 0;
+      parsed = std::from_chars(first, last, d);
+      value = Value::Double(d);
+    } else {
+      int64_t i = 0;
+      parsed = std::from_chars(first, last, i);
+      value = Value::Int(i);
+    }
+    if (parsed.ec == std::errc::result_out_of_range) {
+      return Status::InvalidArgument("numeric literal out of range at " +
+                                     Where(token) + ": " + token.text);
+    }
+    if (parsed.ec != std::errc() || parsed.ptr != last) {
+      return Status::InvalidArgument("malformed numeric literal at " +
+                                     Where(token) + ": " + token.text);
+    }
+    return MakeLiteral(std::move(value));
+  }
+
   Result<ExprPtr> ParseOr() {
     INVERDA_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAnd());
     while (MatchKeyword("OR")) {
@@ -163,8 +217,10 @@ class Parser {
   }
 
   Result<ExprPtr> ParseNot() {
+    const Token& opener = Peek();
     if (MatchKeyword("NOT")) {
-      INVERDA_ASSIGN_OR_RETURN(ExprPtr operand, ParseNot());
+      INVERDA_ASSIGN_OR_RETURN(ExprPtr operand,
+                               Nested(opener, [&] { return ParseNot(); }));
       return MakeNot(std::move(operand));
     }
     return ParseComparison();
@@ -236,8 +292,10 @@ class Parser {
   }
 
   Result<ExprPtr> ParseUnary() {
+    const Token& opener = Peek();
     if (MatchOperator("-")) {
-      INVERDA_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
+      INVERDA_ASSIGN_OR_RETURN(ExprPtr operand,
+                               Nested(opener, [&] { return ParseUnary(); }));
       return MakeArith(ArithOp::kSub, MakeLiteral(Value::Int(0)),
                        std::move(operand));
     }
@@ -247,12 +305,8 @@ class Parser {
   Result<ExprPtr> ParsePrimary() {
     const Token token = Advance();
     switch (token.kind) {
-      case TokenKind::kNumber: {
-        if (token.text.find('.') != std::string::npos) {
-          return MakeLiteral(Value::Double(std::stod(token.text)));
-        }
-        return MakeLiteral(Value::Int(std::stoll(token.text)));
-      }
+      case TokenKind::kNumber:
+        return NumberLiteral(token);
       case TokenKind::kString:
         return MakeLiteral(Value::String(token.text));
       case TokenKind::kIdent: {
@@ -266,10 +320,12 @@ class Parser {
           return MakeLiteral(Value::Bool(false));
         }
         if (MatchOperator("(")) {
+          const Token& opener = tokens_[pos_ - 1];
           std::vector<ExprPtr> args;
           if (!MatchOperator(")")) {
             while (true) {
-              INVERDA_ASSIGN_OR_RETURN(ExprPtr arg, ParseOr());
+              INVERDA_ASSIGN_OR_RETURN(
+                  ExprPtr arg, Nested(opener, [&] { return ParseOr(); }));
               args.push_back(std::move(arg));
               if (MatchOperator(")")) break;
               if (!MatchOperator(",")) {
@@ -284,7 +340,8 @@ class Parser {
       }
       case TokenKind::kOperator:
         if (token.text == "(") {
-          INVERDA_ASSIGN_OR_RETURN(ExprPtr inner, ParseOr());
+          INVERDA_ASSIGN_OR_RETURN(ExprPtr inner,
+                                   Nested(token, [&] { return ParseOr(); }));
           if (!MatchOperator(")")) {
             return Status::InvalidArgument("missing closing parenthesis");
           }
@@ -298,8 +355,10 @@ class Parser {
     return Status::Internal("unreachable token kind");
   }
 
+  const std::string& text_;
   std::vector<Token> tokens_;
   size_t pos_ = 0;
+  int depth_ = 0;  // nesting levels open in Nested
 };
 
 }  // namespace
@@ -307,7 +366,7 @@ class Parser {
 Result<ExprPtr> ParseExpression(const std::string& text) {
   Lexer lexer(text);
   INVERDA_ASSIGN_OR_RETURN(std::vector<Token> tokens, lexer.Tokenize());
-  Parser parser(std::move(tokens));
+  Parser parser(text, std::move(tokens));
   return parser.Parse();
 }
 

@@ -14,7 +14,17 @@ namespace inverda {
 ///
 /// Grammar (precedence low to high): OR, AND, NOT, comparison / IS [NOT]
 /// NULL, additive (+ - ||), multiplicative (* / %), unary minus, primary.
+///
+/// Errors come back as InvalidArgument, never as an exception: an INT
+/// literal outside int64 or a DOUBLE literal outside double range names
+/// the literal's line:column, and so does nesting deeper than
+/// kMaxExpressionDepth.
 Result<ExprPtr> ParseExpression(const std::string& text);
+
+/// Deepest accepted nesting of parenthesised (or function-argument)
+/// sub-expressions, unary minuses and NOTs, counted together; the parser
+/// recurses once per level, so the cap bounds its stack use.
+inline constexpr int kMaxExpressionDepth = 256;
 
 }  // namespace inverda
 

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -5,6 +6,7 @@
 #include <mutex>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -79,7 +81,6 @@ AccessLayer::AccessLayer(VersionCatalog* catalog, Database* db,
   latch_ns_ = m.histogram("latch.acquire_ns");
   latch_fine_ = m.counter("latch.fine_grained");
   latch_escalations_ = m.counter("latch.escalations");
-  latch_global_ = m.counter("latch.global");
   latch_key_scoped_ = m.counter("latch.key_scoped");
   parallel_scans_ = m.counter("storage.parallel_scans");
   parallel_applies_ = m.counter("storage.parallel_applies");
@@ -199,27 +200,12 @@ Result<const plan::TvPlan*> AccessLayer::GetPlan(TvId tv) {
   return plan_cache_.Get(tv, catalog_->materialization_epoch(), compiler_);
 }
 
-Result<AccessLayer::PlanHandle> AccessLayer::ResolvePlan(TvId tv) {
-  PlanHandle handle;
-  if (plan_cache_enabled_) {
-    INVERDA_ASSIGN_OR_RETURN(handle.cached, GetPlan(tv));
-    return handle;
-  }
-  // Legacy-resolution mode: re-resolve the first hop from the catalog on
-  // every access, like the pre-plan executor did. The plan lives on this
-  // call's stack because kernels re-enter the AccessLayer recursively.
-  INVERDA_ASSIGN_OR_RETURN(plan::TvPlan shallow, compiler_.CompileShallow(tv));
-  handle.owned = std::make_unique<plan::TvPlan>(std::move(shallow));
-  return handle;
-}
-
 Status AccessLayer::PrewarmPlans() {
   // Compile every table version's plan at the current epoch. Called inside
   // the migration flip window (exclusive catalog lock held) right after the
   // epoch bump, so the first post-flip access of every version hits a warm
   // cache instead of paying compilation inside its own critical path — the
   // "dual-plan epoch window" collapses to the flip itself.
-  if (!plan_cache_enabled_) return Status::OK();
   for (TvId tv : catalog_->AllTableVersions()) {
     INVERDA_RETURN_IF_ERROR(GetPlan(tv).status());
   }
@@ -227,12 +213,43 @@ Status AccessLayer::PrewarmPlans() {
 }
 
 Result<int> AccessLayer::PropagationDistance(TvId tv) {
-  if (plan_cache_enabled_) {
-    INVERDA_ASSIGN_OR_RETURN(const plan::TvPlan* p, GetPlan(tv));
-    return p->distance();
+  INVERDA_ASSIGN_OR_RETURN(const plan::TvPlan* p, GetPlan(tv));
+  return p->distance();
+}
+
+template <typename Out>
+Status AccessLayer::DeriveFirstStep(const plan::TvPlan& p, uint32_t hot,
+                                    Out* out, std::optional<int64_t> key) {
+  const plan::PlanStep& step = p.steps.front();
+  const auto derive = [&] {
+    if constexpr (std::is_same_v<Out, RowBatch>) {
+      return step.DeriveBatch(out);  // batch derives are always full
+    } else {
+      return step.Derive(key, out);
+    }
+  };
+  // Fast path: no guard objects at all when every gate is off — nested
+  // kernel recursion multiplies this block's entry cost.
+  if (hot == 0) [[likely]] return derive();
+  obs::SpanGuard span((hot & obs::Observability::kTracingBit) != 0
+                          ? &obs_->tracer
+                          : nullptr,
+                      "derive");
+  if (span) FillStepSpan(span.get(), step);
+  KernelMetrics* km = (hot & obs::Observability::kTimingBit) != 0
+                          ? MetricsForKernel(step.kernel)
+                          : nullptr;
+  obs::ScopedTimer kernel_timer(km != nullptr ? km->derive_ns : nullptr);
+  INVERDA_RETURN_IF_ERROR(derive());
+  int64_t rows = 0;
+  if constexpr (std::is_same_v<Out, RowBatch>) {
+    rows = out->selected_count();
+  } else {
+    rows = out->size();
   }
-  INVERDA_ASSIGN_OR_RETURN(plan::TvPlan full, compiler_.Compile(tv));
-  return full.distance();
+  if (km != nullptr) km->derive_rows->Add(rows);
+  if (span) span->rows_out = rows;
+  return Status::OK();
 }
 
 // --- latching ---------------------------------------------------------------
@@ -247,19 +264,10 @@ void AccessLayer::AcquireLatches(TableLatchSet* latches, const plan::TvPlan& p,
   // under the detailed-timing gate (`timed` is the caller's single
   // hot-flags load, see Observability::hot()).
   obs::ScopedTimer timer(timed ? latch_ns_ : nullptr);
-  const bool exclusive = write || p.derive_mutates;
-  if (!p.full) {
-    // Shallow plans (plan cache disabled) carry no footprint: fall back to
-    // the exclusive whole-database latch — the legacy-resolution
-    // concurrency model.
-    if (timed) [[unlikely]] latch_global_->Add(1);
-    latches->AcquireGlobal(&db_->latches());
-    return;
-  }
   // The footprint lists every physical table any access path of the
   // version can touch, so it covers both the derivation closure of reads
   // and the sibling derivations of a write's propagation chain.
-  latches->Acquire(&db_->latches(), p.footprint, exclusive);
+  latches->Acquire(&db_->latches(), p.footprint, write || p.derive_mutates);
   if (timed) [[unlikely]] {
     // Accounted after the fact: with shards, escalation can also trigger
     // on the total latch budget, which only Acquire itself knows.
@@ -274,9 +282,8 @@ void AccessLayer::AcquireLatches(TableLatchSet* latches, const plan::TvPlan& p,
 bool AccessLayer::KeyScopedEligible(const plan::TvPlan& p) const {
   // Physical single-table plans only: the footprint must be exactly the
   // data table, otherwise shard-scoping would leave other tables unlatched.
-  return access_depth_ == 0 && p.full && p.physical &&
-         p.footprint.size() == 1 && p.footprint.front() == p.data_table &&
-         db_->latches().shards() > 1;
+  return access_depth_ == 0 && p.physical && p.footprint.size() == 1 &&
+         p.footprint.front() == p.data_table && db_->latches().shards() > 1;
 }
 
 void AccessLayer::AcquireLatchesForKeys(TableLatchSet* latches,
@@ -295,55 +302,59 @@ void AccessLayer::AcquireLatchesForKeys(TableLatchSet* latches,
 
 // --- derived-view cache -----------------------------------------------------
 
-Result<AccessLayer::DepVec> AccessLayer::FootprintDeps(const plan::TvPlan& p) {
-  const std::vector<std::string>* names = &p.footprint;
-  plan::TvPlan full;
-  if (!p.full) {
-    INVERDA_ASSIGN_OR_RETURN(full, compiler_.Compile(p.tv));
-    names = &full.footprint;
+Result<std::shared_ptr<const RowBatch>> AccessLayer::CachedView(
+    const plan::TvPlan& p, uint32_t hot, obs::TraceSpan* span) {
+  {
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    auto it = cache_.find(p.tv);
+    if (it != cache_.end()) {
+      bool valid = true;
+      for (const auto& [name, epoch] : it->second.deps) {
+        std::optional<uint64_t> current = db_->TableEpoch(name);
+        if (!current || *current != epoch) {
+          valid = false;
+          break;
+        }
+      }
+      if (valid) {
+        RecordCacheLookupLocked(p.tv, /*hit=*/true);
+        if (span != nullptr) [[unlikely]] span->note = "view-cache hit";
+        return it->second.view;
+      }
+      EraseCacheEntryLocked(p.tv);
+    }
+    RecordCacheLookupLocked(p.tv, /*hit=*/false);
   }
-  DepVec deps;
-  deps.reserve(names->size());
-  for (const std::string& name : *names) {
+  // Miss: derive the whole view outside cache_mu_. Batches keep ascending
+  // key order (row_batch.h), which point lookups' binary search relies on.
+  RowBatch view;
+  if (batch_enabled_) {
+    INVERDA_RETURN_IF_ERROR(DeriveFirstStep(p, hot, &view));
+    view.Compact();
+  } else {
+    Table rows(*p.schema);
+    INVERDA_RETURN_IF_ERROR(DeriveFirstStep(p, hot, &rows));
+    INVERDA_RETURN_IF_ERROR(BatchFromTable(rows, &view));
+  }
+  INVERDA_RETURN_IF_ERROR(view.SetNumColumns(p.schema->num_columns()));
+  auto shared = std::make_shared<const RowBatch>(std::move(view));
+  // The footprint covers every table the derivation could read; stamping
+  // after the derive is exact because the operation's latches exclude
+  // writers of those tables until it returns.
+  std::vector<std::pair<std::string, uint64_t>> deps;
+  deps.reserve(p.footprint.size());
+  for (const std::string& name : p.footprint) {
     deps.emplace_back(name, db_->TableEpoch(name).value_or(0));
   }
-  return deps;
-}
-
-std::shared_ptr<const Table> AccessLayer::LookupCache(TvId tv) {
   std::lock_guard<std::mutex> lock(cache_mu_);
-  auto it = cache_.find(tv);
-  if (it == cache_.end()) {
-    RecordCacheLookupLocked(tv, /*hit=*/false);
-    return nullptr;
-  }
-  for (const auto& [name, epoch] : it->second.deps) {
-    std::optional<uint64_t> current = db_->TableEpoch(name);
-    if (!current || *current != epoch) {
-      EraseCacheEntryLocked(tv);
-      RecordCacheLookupLocked(tv, /*hit=*/false);
-      return nullptr;
-    }
-  }
-  RecordCacheLookupLocked(tv, /*hit=*/true);
-  return it->second.table;
-}
-
-Status AccessLayer::StoreCache(const plan::TvPlan& p, Table table) {
-  // Fingerprint before locking: FootprintDeps may compile (catalog walk),
-  // which must not run under cache_mu_.
-  INVERDA_ASSIGN_OR_RETURN(DepVec deps, FootprintDeps(p));
-  auto view = std::make_shared<const Table>(std::move(table));
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  cache_.insert_or_assign(p.tv, CacheEntry{std::move(view), std::move(deps)});
-  return Status::OK();
+  cache_.insert_or_assign(p.tv, CacheEntry{shared, std::move(deps)});
+  return shared;
 }
 
 void AccessLayer::RecordCacheLookupLocked(TvId tv, bool hit) {
-  // The single accounting point for view-cache lookups: ScanVersion and
-  // FindVersion used to bump the miss counters through duplicated code
-  // paths; routing both through LookupCache keeps the aggregate and
-  // per-version counters moving together on every path.
+  // The single accounting point for view-cache lookups, shared by scans,
+  // batch scans and point lookups, so the aggregate and per-version
+  // counters move together on every path.
   if (hit) {
     cache_hits_.fetch_add(1, std::memory_order_relaxed);
     ++cache_stats_[tv].hits;
@@ -357,11 +368,6 @@ void AccessLayer::EraseCacheEntryLocked(TvId tv) {
   if (cache_.erase(tv) == 0) return;
   cache_invalidations_.fetch_add(1, std::memory_order_relaxed);
   ++cache_stats_[tv].invalidations;
-}
-
-void AccessLayer::EraseCacheEntry(TvId tv) {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  EraseCacheEntryLocked(tv);
 }
 
 void AccessLayer::InvalidateCache() {
@@ -382,17 +388,7 @@ void AccessLayer::ResetCacheStats() {
   cache_stats_.clear();
 }
 
-Status AccessLayer::InvalidateForWrite(const plan::TvPlan& p) {
-  {
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    if (cache_.empty()) return Status::OK();
-  }
-  INVERDA_ASSIGN_OR_RETURN(DepVec footprint_deps, FootprintDeps(p));
-  std::set<std::string> footprint;
-  for (const auto& [name, epoch] : footprint_deps) {
-    (void)epoch;
-    footprint.insert(name);
-  }
+void AccessLayer::InvalidateForWrite(const plan::TvPlan& p) {
   const std::set<TvId>& component = catalog_->ComponentOf(p.tv);
   std::lock_guard<std::mutex> lock(cache_mu_);
   std::vector<TvId> doomed;
@@ -404,24 +400,20 @@ Status AccessLayer::InvalidateForWrite(const plan::TvPlan& p) {
     }
     for (const auto& [name, epoch] : entry.deps) {
       (void)epoch;
-      if (footprint.count(name)) {
+      if (std::find(p.footprint.begin(), p.footprint.end(), name) !=
+          p.footprint.end()) {
         doomed.push_back(cached_tv);
         break;
       }
     }
   }
   for (TvId dead : doomed) EraseCacheEntryLocked(dead);
-  return Status::OK();
 }
 
 void AccessLayer::InvalidateForMigration(const std::set<SmoId>& flipped) {
   {
     std::lock_guard<std::mutex> lock(cache_mu_);
     if (cache_.empty()) return;
-  }
-  if (cache_mode_ == CacheMode::kClearAll) {
-    InvalidateCache();
-    return;
   }
   std::set<TvId> affected = catalog_->AffectedBySmos(flipped);
   std::lock_guard<std::mutex> lock(cache_mu_);
@@ -449,8 +441,8 @@ Status AccessLayer::ScanVersion(TvId tv, const RowCallback& fn) {
       (hot & obs::Observability::kTracingBit) != 0 ? &obs_->tracer : nullptr;
   obs::ScopedTimer op_timer(timed && access_depth_ == 0 ? scan_ns_ : nullptr);
   obs::SpanGuard span(tracer, "scan");
-  INVERDA_ASSIGN_OR_RETURN(PlanHandle handle, ResolvePlan(tv));
-  const plan::TvPlan& p = *handle.get();
+  INVERDA_ASSIGN_OR_RETURN(const plan::TvPlan* plan, GetPlan(tv));
+  const plan::TvPlan& p = *plan;
   if (span) [[unlikely]] span->label = p.label;
   TableLatchSet latches;
   AcquireLatches(&latches, p, /*write=*/false, timed);
@@ -470,61 +462,26 @@ Status AccessLayer::ScanVersion(TvId tv, const RowCallback& fn) {
     return Status::OK();
   }
   if (cache_enabled_) {
-    if (std::shared_ptr<const Table> cached = LookupCache(tv)) {
-      if (span) [[unlikely]] {
-        span->note = "view-cache hit";
-        span->rows_out = cached->size();
-      }
-      cached->Scan(fn);
-      return Status::OK();
-    }
+    INVERDA_ASSIGN_OR_RETURN(std::shared_ptr<const RowBatch> view,
+                             CachedView(p, hot, span.get()));
+    if (span) [[unlikely]] span->rows_out = view->size();
+    view->ForEach(fn);
+    return Status::OK();
   }
-  if (batch_enabled_ && !cache_enabled_) {
+  if (batch_enabled_) {
     // Columnar derivation: the chain below runs through the kernels' batch
     // entry points and the result streams straight to the caller — no
-    // intermediate row-major table. (The view-cache path keeps the table
-    // form because that is what it memoizes.)
+    // intermediate row-major table.
     RowBatch batch;
-    const plan::PlanStep& step = p.steps.front();
-    if (hot == 0) [[likely]] {
-      INVERDA_RETURN_IF_ERROR(step.DeriveBatch(&batch));
-    } else {
-      obs::SpanGuard step_span(tracer, "derive");
-      if (step_span) FillStepSpan(step_span.get(), step);
-      KernelMetrics* km = nullptr;
-      if (timed) km = MetricsForKernel(step.kernel);
-      obs::ScopedTimer kernel_timer(km != nullptr ? km->derive_ns : nullptr);
-      INVERDA_RETURN_IF_ERROR(step.DeriveBatch(&batch));
-      if (km != nullptr) km->derive_rows->Add(batch.selected_count());
-      if (step_span) step_span->rows_out = batch.selected_count();
-    }
+    INVERDA_RETURN_IF_ERROR(DeriveFirstStep(p, hot, &batch));
     if (span) [[unlikely]] span->rows_out = batch.selected_count();
     batch.ForEach(fn);
     return Status::OK();
   }
   Table tmp(*p.schema);
-  {
-    const plan::PlanStep& step = p.steps.front();
-    if (hot == 0) [[likely]] {
-      // Fast path: no guard objects at all when every gate is off —
-      // nested kernel recursion multiplies this block's entry cost.
-      INVERDA_RETURN_IF_ERROR(step.Derive(std::nullopt, &tmp));
-    } else {
-      obs::SpanGuard step_span(tracer, "derive");
-      if (step_span) FillStepSpan(step_span.get(), step);
-      KernelMetrics* km = nullptr;
-      if (timed) km = MetricsForKernel(step.kernel);
-      obs::ScopedTimer kernel_timer(km != nullptr ? km->derive_ns : nullptr);
-      INVERDA_RETURN_IF_ERROR(step.Derive(std::nullopt, &tmp));
-      if (km != nullptr) km->derive_rows->Add(tmp.size());
-      if (step_span) step_span->rows_out = tmp.size();
-    }
-  }
+  INVERDA_RETURN_IF_ERROR(DeriveFirstStep(p, hot, &tmp));
   if (span) [[unlikely]] span->rows_out = tmp.size();
   tmp.Scan(fn);
-  if (cache_enabled_) {
-    INVERDA_RETURN_IF_ERROR(StoreCache(p, std::move(tmp)));
-  }
   return Status::OK();
 }
 
@@ -543,8 +500,8 @@ Status AccessLayer::ScanVersionBatch(TvId tv, RowBatch* out) {
       (hot & obs::Observability::kTracingBit) != 0 ? &obs_->tracer : nullptr;
   obs::ScopedTimer op_timer(timed && access_depth_ == 0 ? scan_ns_ : nullptr);
   obs::SpanGuard span(tracer, "scan");
-  INVERDA_ASSIGN_OR_RETURN(PlanHandle handle, ResolvePlan(tv));
-  const plan::TvPlan& p = *handle.get();
+  INVERDA_ASSIGN_OR_RETURN(const plan::TvPlan* plan, GetPlan(tv));
+  const plan::TvPlan& p = *plan;
   if (span) [[unlikely]] span->label = p.label;
   TableLatchSet latches;
   AcquireLatches(&latches, p, /*write=*/false, timed);
@@ -569,26 +526,20 @@ Status AccessLayer::ScanVersionBatch(TvId tv, RowBatch* out) {
     return BatchFromTable(*table, out);
   }
   if (cache_enabled_) {
-    if (std::shared_ptr<const Table> cached = LookupCache(tv)) {
-      if (span) [[unlikely]] {
-        span->note = "view-cache hit";
-        span->rows_out = cached->size();
-      }
-      return BatchFromTable(*cached, out);
+    INVERDA_ASSIGN_OR_RETURN(std::shared_ptr<const RowBatch> view,
+                             CachedView(p, hot, span.get()));
+    if (span) [[unlikely]] span->rows_out = view->size();
+    INVERDA_RETURN_IF_ERROR(out->SetNumColumns(view->num_columns()));
+    if (out->empty() && !out->has_selection()) {
+      *out = *view;  // the usual case: a fresh batch takes the columns
+      return Status::OK();
     }
+    for (int64_t i = 0; i < view->size(); ++i) {
+      INVERDA_RETURN_IF_ERROR(out->AppendRow(view->key_at(i), view->RowAt(i)));
+    }
+    return Status::OK();
   }
-  const plan::PlanStep& step = p.steps.front();
-  if (hot == 0) [[likely]] {
-    return step.DeriveBatch(out);
-  }
-  obs::SpanGuard step_span(tracer, "derive");
-  if (step_span) FillStepSpan(step_span.get(), step);
-  KernelMetrics* km = nullptr;
-  if (timed) km = MetricsForKernel(step.kernel);
-  obs::ScopedTimer kernel_timer(km != nullptr ? km->derive_ns : nullptr);
-  INVERDA_RETURN_IF_ERROR(step.DeriveBatch(out));
-  if (km != nullptr) km->derive_rows->Add(out->selected_count());
-  if (step_span) step_span->rows_out = out->selected_count();
+  INVERDA_RETURN_IF_ERROR(DeriveFirstStep(p, hot, out));
   if (span) [[unlikely]] span->rows_out = out->selected_count();
   return Status::OK();
 }
@@ -601,8 +552,8 @@ Result<std::optional<Row>> AccessLayer::FindVersion(TvId tv, int64_t key) {
       (hot & obs::Observability::kTracingBit) != 0 ? &obs_->tracer : nullptr;
   obs::ScopedTimer op_timer(timed && access_depth_ == 0 ? find_ns_ : nullptr);
   obs::SpanGuard span(tracer, "find");
-  INVERDA_ASSIGN_OR_RETURN(PlanHandle handle, ResolvePlan(tv));
-  const plan::TvPlan& p = *handle.get();
+  INVERDA_ASSIGN_OR_RETURN(const plan::TvPlan* plan, GetPlan(tv));
+  const plan::TvPlan& p = *plan;
   if (span) [[unlikely]] span->label = p.label;
   TableLatchSet latches;
   if (KeyScopedEligible(p)) [[unlikely]] {
@@ -633,53 +584,18 @@ Result<std::optional<Row>> AccessLayer::FindVersion(TvId tv, int64_t key) {
     return std::optional<Row>(*row);
   }
   if (cache_enabled_) {
-    if (std::shared_ptr<const Table> cached = LookupCache(tv)) {
-      if (span) [[unlikely]] span->note = "view-cache hit";
-      const Row* row = cached->Find(key);
-      if (row == nullptr) return std::optional<Row>();
-      if (span) [[unlikely]] span->rows_out = 1;
-      return std::optional<Row>(*row);
-    }
-    // Same accounting as ScanVersion's miss path: derive the full view
-    // once, store it, and answer this (and subsequent) lookups from it.
-    Table tmp(*p.schema);
-    {
-      const plan::PlanStep& step = p.steps.front();
-      if (hot == 0) [[likely]] {
-        INVERDA_RETURN_IF_ERROR(step.Derive(std::nullopt, &tmp));
-      } else {
-        obs::SpanGuard step_span(tracer, "derive");
-        if (step_span) FillStepSpan(step_span.get(), step);
-        KernelMetrics* km = nullptr;
-        if (timed) km = MetricsForKernel(step.kernel);
-        obs::ScopedTimer kernel_timer(km != nullptr ? km->derive_ns : nullptr);
-        INVERDA_RETURN_IF_ERROR(step.Derive(std::nullopt, &tmp));
-        if (km != nullptr) km->derive_rows->Add(tmp.size());
-        if (step_span) step_span->rows_out = tmp.size();
-      }
-    }
-    std::optional<Row> found;
-    if (const Row* row = tmp.Find(key)) found = *row;
-    if (span) [[unlikely]] span->rows_out = found.has_value() ? 1 : 0;
-    INVERDA_RETURN_IF_ERROR(StoreCache(p, std::move(tmp)));
-    return found;
+    // Answered from the whole cached view (derived and stored on a miss,
+    // exactly like a scan): binary search over its ascending keys.
+    INVERDA_ASSIGN_OR_RETURN(std::shared_ptr<const RowBatch> view,
+                             CachedView(p, hot, span.get()));
+    const std::vector<int64_t>& keys = view->keys();
+    auto it = std::lower_bound(keys.begin(), keys.end(), key);
+    if (it == keys.end() || *it != key) return std::optional<Row>();
+    if (span) [[unlikely]] span->rows_out = 1;
+    return std::optional<Row>(view->RowAt(it - keys.begin()));
   }
   Table tmp(*p.schema);
-  {
-    const plan::PlanStep& step = p.steps.front();
-    if (hot == 0) [[likely]] {
-      INVERDA_RETURN_IF_ERROR(step.Derive(key, &tmp));
-    } else {
-      obs::SpanGuard step_span(tracer, "derive");
-      if (step_span) FillStepSpan(step_span.get(), step);
-      KernelMetrics* km = nullptr;
-      if (timed) km = MetricsForKernel(step.kernel);
-      obs::ScopedTimer kernel_timer(km != nullptr ? km->derive_ns : nullptr);
-      INVERDA_RETURN_IF_ERROR(step.Derive(key, &tmp));
-      if (km != nullptr) km->derive_rows->Add(tmp.size());
-      if (step_span) step_span->rows_out = tmp.size();
-    }
-  }
+  INVERDA_RETURN_IF_ERROR(DeriveFirstStep(p, hot, &tmp, key));
   const Row* row = tmp.Find(key);
   if (row == nullptr) return std::optional<Row>();
   if (span) [[unlikely]] span->rows_out = 1;
@@ -717,8 +633,8 @@ Status AccessLayer::ApplyToVersionImpl(TvId tv, const WriteSet& writes) {
   obs::ScopedTimer op_timer(timed && top_level ? apply_ns_ : nullptr);
   obs::SpanGuard span(tracer, "apply");
   if (span) [[unlikely]] span->rows_in = static_cast<int64_t>(writes.ops.size());
-  INVERDA_ASSIGN_OR_RETURN(PlanHandle handle, ResolvePlan(tv));
-  const plan::TvPlan& p = *handle.get();
+  INVERDA_ASSIGN_OR_RETURN(const plan::TvPlan* plan, GetPlan(tv));
+  const plan::TvPlan& p = *plan;
   if (span) [[unlikely]] span->label = p.label;
   TableLatchSet latches;
   if (KeyScopedEligible(p)) [[unlikely]] {
@@ -737,16 +653,7 @@ Status AccessLayer::ApplyToVersionImpl(TvId tv, const WriteSet& writes) {
     last_trace_.Clear();
     // Invalidate before the write lands: entries (re)stored by reads that
     // happen mid-propagation capture the post-write epochs and stay valid.
-    if (cache_enabled_) {
-      switch (cache_mode_) {
-        case CacheMode::kClearAll:
-          InvalidateCache();
-          break;
-        case CacheMode::kGenealogy:
-          INVERDA_RETURN_IF_ERROR(InvalidateForWrite(p));
-          break;
-      }
-    }
+    if (cache_enabled_) InvalidateForWrite(p);
   }
   last_trace_.AddVersion(tv);
   if (p.physical) {

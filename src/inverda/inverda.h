@@ -47,8 +47,9 @@ class Inverda;
 /// re-enters under the top-level latch set (a thread-local depth counter
 /// suppresses nested acquisition). Catalog-shape changes never race with
 /// operations: the Inverda facade serializes DDL against all data access.
-/// The configuration setters (set_plan_cache_enabled, set_cache_enabled,
-/// set_cache_mode) are not thread-safe; configure before going concurrent.
+/// The configuration setters (set_cache_enabled, set_batch_enabled,
+/// set_fusion_enabled, set_verify_enabled) are not thread-safe; configure
+/// before going concurrent.
 class AccessLayer : public AccessBackend {
  public:
   /// `obs` is the owning facade's observability bundle: the constructor
@@ -77,17 +78,16 @@ class AccessLayer : public AccessBackend {
   /// evolution, migration, or drop. Used by EXPLAIN and the executor.
   Result<const plan::TvPlan*> GetPlan(TvId tv);
 
-  /// Plan-cache toggle: when disabled every access re-resolves its first
-  /// hop from the catalog, reproducing the pre-plan executor's per-access
-  /// work. On by default; bench/microbench_plan uses the off state as the
-  /// legacy-resolution baseline.
-  void set_plan_cache_enabled(bool enabled) { plan_cache_enabled_ = enabled; }
-  bool plan_cache_enabled() const { return plan_cache_enabled_; }
+  /// Always true: every access executes its version's cached compiled
+  /// plan (there is no per-access resolution mode). Kept as a constant for
+  /// configuration reports that print it.
+  bool plan_cache_enabled() const { return true; }
 
-  /// Batch-execution toggle: when enabled (default) full scans derive
-  /// through the kernels' columnar batch entry points; when disabled they
-  /// run row-at-a-time, the unbatched baseline bench/microbench_plan
-  /// measures. Not thread-safe; configure before going concurrent.
+  /// Batch-execution toggle: when enabled (default) full scans — and view
+  /// cache fills — derive through the kernels' columnar batch entry
+  /// points; when disabled they run row-at-a-time, the unbatched reference
+  /// that bench/microbench_plan and the batch/fusion equivalence tests
+  /// compare against. Not thread-safe; configure before going concurrent.
   void set_batch_enabled(bool enabled) { batch_enabled_ = enabled; }
   bool batch_enabled() const { return batch_enabled_; }
 
@@ -129,9 +129,11 @@ class AccessLayer : public AccessBackend {
 
   /// Optional derived-view cache — the paper's future-work item (4),
   /// "optimized delta code": full scans of virtual table versions are
-  /// memoized together with a dependency fingerprint (the name and dirty
-  /// epoch of every physical table the derivation can read). Entries
-  /// validate in O(path length) against the current epochs, writes
+  /// memoized as compacted, key-ordered RowBatches together with a
+  /// dependency fingerprint (the name and dirty epoch of every physical
+  /// table the derivation can read). Scans stream or copy the stored
+  /// columns; point lookups binary-search its keys. Entries validate in
+  /// O(path length) against the current epochs, writes
   /// invalidate only the entries whose derivation path shares a physical
   /// table with the write's propagation chain, and migrations invalidate
   /// only the versions whose access path passes through a flipped SMO
@@ -141,15 +143,9 @@ class AccessLayer : public AccessBackend {
   void set_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
   bool cache_enabled() const { return cache_enabled_; }
 
-  /// How the cache reacts to writes and migrations. kClearAll reproduces
-  /// the original stub (drop every entry on any write or migration) and
-  /// exists for the ablation benchmark; kGenealogy is the default.
-  enum class CacheMode { kClearAll, kGenealogy };
-  void set_cache_mode(CacheMode mode) { cache_mode_ = mode; }
-  CacheMode cache_mode() const { return cache_mode_; }
-
-  /// Drops all cached derived views regardless of mode (schema drops and
-  /// explicit resets).
+  /// Drops all cached derived views (schema drops and explicit resets;
+  /// bench/ablation_view_cache also calls it to emulate clear-all
+  /// invalidation).
   void InvalidateCache();
 
   /// Genealogy-scoped invalidation after the materialization state of the
@@ -203,27 +199,15 @@ class AccessLayer : public AccessBackend {
   void ResetAccessProfile();
 
  private:
-  /// A plan resolved for one operation: a pointer into the plan cache, or
-  /// (plan cache disabled) a freshly compiled shallow plan owned by the
-  /// handle so that recursive accesses never clobber each other.
-  struct PlanHandle {
-    const plan::TvPlan* get() const { return owned ? owned.get() : cached; }
-    const plan::TvPlan* cached = nullptr;
-    std::unique_ptr<plan::TvPlan> owned;
-  };
-  Result<PlanHandle> ResolvePlan(TvId tv);
-
   /// The body of ApplyToVersion; the public entry point wraps it with the
   /// migration write-capture hook so every exit path reports exactly once.
   Status ApplyToVersionImpl(TvId tv, const WriteSet& writes);
 
   /// Latches the operation's physical footprint at the top level of an
   /// access (a no-op when the calling thread is already inside one — kernel
-  /// recursion runs under the enclosing latch set). Pure reads of full
-  /// plans take shared latches on the footprint; writes and plans whose
-  /// Derive mutates id state take them exclusively; shallow plans (plan
-  /// cache disabled) have no footprint and fall back to the whole-database
-  /// latch.
+  /// recursion runs under the enclosing latch set). Pure reads take shared
+  /// latches on the plan's footprint; writes and plans whose Derive mutates
+  /// id state take them exclusively.
   void AcquireLatches(TableLatchSet* latches, const plan::TvPlan& p,
                       bool write, bool timed);
 
@@ -231,7 +215,7 @@ class AccessLayer : public AccessBackend {
   /// with a sharded store, latches only the shards `keys` route to, so
   /// writers hitting different shards of the same data table run in
   /// parallel. Falls back to AcquireLatches whenever key-scoping does not
-  /// apply (virtual plan, shallow plan, unsharded registry, plans whose
+  /// apply (virtual plan, unsharded registry, plans whose
   /// footprint is wider than the data table).
   void AcquireLatchesForKeys(TableLatchSet* latches, const plan::TvPlan& p,
                              const std::vector<int64_t>& keys, bool write,
@@ -242,39 +226,41 @@ class AccessLayer : public AccessBackend {
   /// unsharded hot path never allocates).
   bool KeyScopedEligible(const plan::TvPlan& p) const;
 
-  /// Dependency fingerprint: physical table name -> dirty epoch at
-  /// derivation time (aliased because commas in template ids break the
-  /// ASSIGN_OR_RETURN macro).
-  using DepVec = std::vector<std::pair<std::string, uint64_t>>;
-
-  /// The plan's footprint stamped with the current dirty epochs (compiling
-  /// the full footprint on demand when handed a shallow plan).
-  Result<DepVec> FootprintDeps(const plan::TvPlan& p);
-
   /// One memoized derived view plus its dependency fingerprint: the name
   /// and dirty epoch of every physical table (data and auxiliary) the
   /// derivation can read under the materialization it was built in. The
-  /// entry is valid iff every epoch still matches. The view is shared so a
-  /// returned table survives a concurrent eviction.
+  /// entry is valid iff every epoch still matches. The view is a compacted
+  /// batch (no selection bitmap) in ascending key order, shared so a
+  /// returned view survives a concurrent eviction.
   struct CacheEntry {
-    std::shared_ptr<const Table> table;
-    DepVec deps;
+    std::shared_ptr<const RowBatch> view;
+    std::vector<std::pair<std::string, uint64_t>> deps;  // name -> epoch
   };
 
-  /// Validated lookup: returns the cached view of `tv` if its fingerprint
-  /// still matches, dropping the entry (and counting an invalidation)
-  /// otherwise. Every lookup is accounted as exactly one hit or one miss
-  /// through RecordCacheLookupLocked — the single accounting point for the
-  /// aggregate and per-version counters.
-  std::shared_ptr<const Table> LookupCache(TvId tv);
-  Status StoreCache(const plan::TvPlan& p, Table table);
+  /// The cached view of virtual plan `p`'s version: a validated hit, or on
+  /// a miss a full derivation (batched when batching is on) that is stored
+  /// before it is returned. Every lookup is accounted as exactly one hit or
+  /// one miss through RecordCacheLookupLocked — the single accounting
+  /// point for the aggregate and per-version counters. `span` (may be
+  /// null) is the operation's trace span, noted on a hit.
+  Result<std::shared_ptr<const RowBatch>> CachedView(const plan::TvPlan& p,
+                                                     uint32_t hot,
+                                                     obs::TraceSpan* span);
   void RecordCacheLookupLocked(TvId tv, bool hit);  // requires cache_mu_
+
+  /// The one instrumented derive: runs `p`'s first step into `out` — a
+  /// columnar full derive for a RowBatch, a row-at-a-time derive
+  /// restricted to `key` (if given) for a Table. With a gate on (`hot`)
+  /// it records a "derive" span, the kernel's derive timer and its
+  /// derive_rows counter.
+  template <typename Out>
+  Status DeriveFirstStep(const plan::TvPlan& p, uint32_t hot, Out* out,
+                         std::optional<int64_t> key = std::nullopt);
 
   /// Eager scoped invalidation before a write propagates along plan `p`:
   /// drops the entries whose fingerprint intersects the write's possible
   /// footprint, using the genealogy component as a cheap pre-filter.
-  Status InvalidateForWrite(const plan::TvPlan& p);
-  void EraseCacheEntry(TvId tv);
+  void InvalidateForWrite(const plan::TvPlan& p);
   void EraseCacheEntryLocked(TvId tv);  // requires cache_mu_ held
 
   /// Internal accounting behind the registry's view_cache pull-source and
@@ -318,7 +304,6 @@ class AccessLayer : public AccessBackend {
   obs::Histogram* latch_ns_;
   obs::Counter* latch_fine_;
   obs::Counter* latch_escalations_;
-  obs::Counter* latch_global_;
   obs::Counter* latch_key_scoped_;
   // Shard-parallel executor counters, bumped when a fan-out actually runs.
   obs::Counter* parallel_scans_;
@@ -350,13 +335,10 @@ class AccessLayer : public AccessBackend {
 
   plan::PlanCompiler compiler_;
   plan::PlanCache plan_cache_;
-  bool plan_cache_enabled_ = true;
   bool batch_enabled_ = true;
 
   bool cache_enabled_ = false;
-  CacheMode cache_mode_ = CacheMode::kGenealogy;
-  // Guards cache_ and cache_stats_. Never held while deriving or latching;
-  // FootprintDeps runs before the lock is taken.
+  // Guards cache_ and cache_stats_. Never held while deriving or latching.
   mutable std::mutex cache_mu_;
   std::map<TvId, CacheEntry> cache_;
   std::map<TvId, VersionCacheStats> cache_stats_;

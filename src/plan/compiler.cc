@@ -88,27 +88,6 @@ Result<PlanStep> PlanCompiler::MakeStep(const Route& route) const {
   return step;
 }
 
-Result<TvPlan> PlanCompiler::CompileShallow(TvId tv) const {
-  TvPlan shallow;
-  shallow.tv = tv;
-  shallow.epoch = catalog_->materialization_epoch();
-  shallow.schema = &catalog_->table_version(tv).schema;
-  shallow.full = false;
-  INVERDA_ASSIGN_OR_RETURN(std::optional<Route> route, ResolveRoute(tv));
-  if (!route) {
-    shallow.physical = true;
-    shallow.data_table = catalog_->DataTableName(tv);
-    return shallow;
-  }
-  INVERDA_ASSIGN_OR_RETURN(PlanStep step, MakeStep(*route));
-  // Conservative: only the first hop is known, so flag the whole plan if
-  // that hop's kernel mutates on Derive (deeper hops are the executor's
-  // problem — shallow resolution runs under the global latch anyway).
-  shallow.derive_mutates = step.kernel->DeriveMutates();
-  shallow.steps.push_back(std::move(step));
-  return shallow;
-}
-
 Result<TvPlan> PlanCompiler::Compile(TvId tv) const {
   TvPlan compiled;
   compiled.tv = tv;

@@ -45,12 +45,6 @@ class PlanCompiler {
   /// footprint, and traversed-SMO closure.
   Result<TvPlan> Compile(TvId tv) const;
 
-  /// Compiles only the first hop of `tv`'s plan (marked `full = false`).
-  /// This is exactly the per-access work the pre-plan executor performed —
-  /// one route resolution plus one context assembly — and serves as the
-  /// legacy-resolution baseline when the plan cache is disabled.
-  Result<TvPlan> CompileShallow(TvId tv) const;
-
   /// Builds the execution context of one SMO instance (the per-call work a
   /// compiled step amortizes; migration still assembles contexts directly
   /// to derive aux tables for the flipped state).
@@ -58,8 +52,9 @@ class PlanCompiler {
 
   /// Cumulative catalog walks: per-version route resolutions and SmoContext
   /// assemblies. Monotonic; the plan cache diffs them around compiles so
-  /// its stats prove cache hits perform zero walks. Atomic because shallow
-  /// compiles (plan cache disabled) may run from concurrent clients.
+  /// its stats prove cache hits perform zero walks. Atomic because
+  /// catalog-wide consumers (VerifyGenealogy, tests) may compile alongside
+  /// the plan cache.
   int64_t route_walks() const {
     return route_walks_.load(std::memory_order_relaxed);
   }
@@ -67,8 +62,7 @@ class PlanCompiler {
     return context_builds_.load(std::memory_order_relaxed);
   }
 
-  /// Toggles the fusion pass on Compile (default on). CompileShallow never
-  /// fuses — the legacy baseline stays hop-by-hop. Callers owning a plan
+  /// Toggles the fusion pass on Compile (default on). Callers owning a plan
   /// cache must clear it when flipping this (AccessLayer does).
   void set_fusion_enabled(bool enabled) {
     fusion_enabled_.store(enabled, std::memory_order_relaxed);

@@ -89,11 +89,6 @@ struct TvPlan {
   const TableSchema* schema = nullptr;  // payload schema of the version
   bool physical = false;                // Figure 6 case 1: `steps` is empty
 
-  /// False for the shallow per-access form compiled when the plan cache is
-  /// disabled (the legacy-resolution baseline): only the first hop is
-  /// resolved and the footprint/traversal closure is skipped.
-  bool full = true;
-
   /// True when executing the plan's read path can mutate shared state: an
   /// SMO on the access paths is id-generating (DECOMPOSE ON FK/condition,
   /// JOIN ON condition assign fresh ids during Derive). The access layer
@@ -106,8 +101,7 @@ struct TvPlan {
   /// kernels reach the remaining chain by recursing through the backend.
   std::vector<PlanStep> steps;
 
-  /// Physical data table terminating the chain above (set on full plans
-  /// and on physical shallow plans).
+  /// Physical data table terminating the chain above.
   std::string data_table;
 
   /// Every physical table (data and auxiliary) any access path of the

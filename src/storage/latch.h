@@ -73,8 +73,7 @@ class LatchRegistry {
 ///  - coarse: global latch *exclusive* only — used for footprints whose
 ///    latch count exceeds the escalation budget (lock escalation; also
 ///    keeps the per-thread lock count within ThreadSanitizer's 64-lock
-///    deadlock-detector cap) and for legacy footprint-less accesses
-///    (AcquireGlobal).
+///    deadlock-detector cap; AcquireGlobal).
 /// A coarse holder excludes every fine holder via the global latch, so an
 /// access never observes a table whose latch it skipped.
 ///
@@ -124,7 +123,8 @@ class TableLatchSet {
   void AcquireKeyScoped(LatchRegistry* registry, const std::string& name,
                         const std::vector<int64_t>& keys, bool exclusive);
 
-  /// Latches the whole database exclusively (coarse granularity).
+  /// Latches the whole database exclusively (coarse granularity; the
+  /// escalation target of Acquire).
   void AcquireGlobal(LatchRegistry* registry);
 
   /// True when the last Acquire escalated to the exclusive global latch.

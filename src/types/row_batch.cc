@@ -183,9 +183,15 @@ void RowBatch::Compact() {
 
 void RowBatch::ForEach(
     const std::function<void(int64_t, const Row&)>& fn) const {
+  // One row buffer for the whole batch: cells are assigned in place, so a
+  // gathered row reuses the previous row's storage.
+  Row row(columns_.size());
   for (int64_t i = 0; i < size(); ++i) {
     if (!selected(i)) continue;
-    fn(keys_[static_cast<size_t>(i)], RowAt(i));
+    for (size_t c = 0; c < columns_.size(); ++c) {
+      row[c] = columns_[c][static_cast<size_t>(i)];
+    }
+    fn(keys_[static_cast<size_t>(i)], row);
   }
 }
 

@@ -568,7 +568,7 @@ AnalysisReport VerifyPlan(const VersionCatalog& catalog,
       }
       expected_tv = hop->next;
     }
-    if (current && compiled.full) {
+    if (current) {
       TvId boundary = hops.empty() ? compiled.tv : hops.back()->next;
       if (!catalog.IsPhysical(boundary)) {
         Emit(&report, "plan-chain-broken", DiagSeverity::kError,
@@ -590,7 +590,7 @@ AnalysisReport VerifyPlan(const VersionCatalog& catalog,
       }
     }
 
-    if (current && compiled.full) {
+    if (current) {
       // The derive_mutates flag gates exclusive latching of the read path;
       // an understated flag would let an id-generating derivation run under
       // shared latches.

@@ -90,6 +90,61 @@ TEST(ExprTest, ParserErrors) {
   EXPECT_FALSE(ParseExpression("prio = 1 extra").ok());
 }
 
+// Literals outside their type's range are diagnosed at the literal's
+// line:column instead of throwing.
+TEST(ExprTest, LiteralOverflowIsAnError) {
+  Result<ExprPtr> big_int = ParseExpression("prio = 99999999999999999999999");
+  ASSERT_FALSE(big_int.ok());
+  EXPECT_EQ(big_int.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(big_int.status().message().find("out of range at 1:8"),
+            std::string::npos)
+      << big_int.status().ToString();
+
+  Result<ExprPtr> big_double =
+      ParseExpression("prio <\n  " + std::string(400, '9') + ".5");
+  ASSERT_FALSE(big_double.ok());
+  EXPECT_EQ(big_double.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(big_double.status().message().find("out of range at 2:3"),
+            std::string::npos)
+      << big_double.status().ToString();
+
+  // The extremes of the types still parse.
+  EXPECT_TRUE(ParseExpression("prio = 9223372036854775807").ok());
+  EXPECT_TRUE(ParseExpression("prio = -9223372036854775807").ok());
+  EXPECT_TRUE(ParseExpression("prio = 1.5").ok());
+  EXPECT_FALSE(ParseExpression("prio = 1.2.3").ok());
+}
+
+// Nesting deeper than kMaxExpressionDepth fails cleanly instead of
+// exhausting the stack; parentheses, unary minus and NOT count alike.
+TEST(ExprTest, NestingDepthIsCapped) {
+  auto nested = [](int depth) {
+    return std::string(static_cast<size_t>(depth), '(') + "prio" +
+           std::string(static_cast<size_t>(depth), ')') + " = 1";
+  };
+  Result<ExprPtr> ok200 = ParseExpression(nested(200));
+  ASSERT_TRUE(ok200.ok()) << ok200.status().ToString();
+  EXPECT_TRUE(*(*ok200)->EvalBool(TaskSchema(), TaskRow("Ann", "x", 1)));
+  EXPECT_TRUE(ParseExpression(nested(kMaxExpressionDepth)).ok());
+
+  Result<ExprPtr> too_deep = ParseExpression(nested(kMaxExpressionDepth + 1));
+  ASSERT_FALSE(too_deep.ok());
+  EXPECT_EQ(too_deep.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(too_deep.status().message().find(
+                "at 1:" + std::to_string(kMaxExpressionDepth + 1)),
+            std::string::npos)
+      << too_deep.status().ToString();
+
+  const std::string minuses(static_cast<size_t>(kMaxExpressionDepth), '-');
+  EXPECT_TRUE(ParseExpression("prio = " + minuses + "1").ok());
+  EXPECT_FALSE(ParseExpression("prio = -" + minuses + "1").ok());
+  std::string nots;
+  for (int i = 0; i <= kMaxExpressionDepth; ++i) nots += "NOT ";
+  EXPECT_FALSE(ParseExpression(nots + "prio = 1").ok());
+  // Far past the cap (the depth that used to overflow the stack).
+  EXPECT_FALSE(ParseExpression(nested(100000)).ok());
+}
+
 TEST(ExprTest, UnknownColumnFailsAtEval) {
   Row row = TaskRow("Ann", "write", 1);
   Result<Value> v = Eval("nope = 1", row);

@@ -125,22 +125,6 @@ TEST_F(PlanTest, CacheHitsPerformZeroCatalogWalks) {
   EXPECT_GT(after.value("plan_cache.hits"), warm.value("plan_cache.hits"));
 }
 
-TEST_F(PlanTest, PlanCacheToggleKeepsResults) {
-  Result<int64_t> key = db_.Insert(
-      "TasKy", "Task",
-      {Value::String("Ben"), Value::String("ship"), Value::Int(1)});
-  ASSERT_TRUE(key.ok());
-  std::vector<KeyedRow> cached = *db_.Select("Do!", "Todo");
-  db_.access().set_plan_cache_enabled(false);
-  std::vector<KeyedRow> fresh = *db_.Select("Do!", "Todo");
-  db_.access().set_plan_cache_enabled(true);
-  ASSERT_EQ(cached.size(), fresh.size());
-  for (size_t i = 0; i < cached.size(); ++i) {
-    EXPECT_EQ(cached[i].key, fresh[i].key);
-    EXPECT_TRUE(RowsEqual(cached[i].row, fresh[i].row));
-  }
-}
-
 // Satellite: FindVersion used to neither count a miss nor store on the
 // view-cache miss path, unlike ScanVersion. Both now go through the single
 // accounting point (RecordCacheLookupLocked), so hit/miss/store counts are

@@ -23,6 +23,7 @@
 
 #include "genealogy_builder.h"
 #include "inverda/inverda.h"
+#include "plan_oracle.h"
 #include "test_seed.h"
 #include "util/random.h"
 
@@ -108,9 +109,9 @@ TEST(SnapshotConsistencyTest, ConcurrentReadersSeeOnlyTheOneSnapshot) {
 }
 
 // Single-threaded epoch property over random genealogies: a cached plan is
-// never served across an epoch bump — reads through the plan cache always
-// equal a fresh compile, and GetPlan after a bump returns a re-resolved
-// plan stamped with the new epoch.
+// never served across an epoch bump — every plan the cache serves equals a
+// fresh compile (tests/plan_oracle.h), and GetPlan after a bump returns a
+// re-resolved plan stamped with the new epoch.
 class EpochResolveTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(EpochResolveTest, CachedReadsEqualFreshCompileAcrossEpochBumps) {
@@ -135,7 +136,6 @@ TEST_P(EpochResolveTest, CachedReadsEqualFreshCompileAcrossEpochBumps) {
 
   for (int round = 0; round < 8; ++round) {
     // Warm the plan cache with a full read of every version.
-    db.access().set_plan_cache_enabled(true);
     (void)testutil::Snapshot(&db);
     Result<const plan::TvPlan*> before = db.access().GetPlan(watched);
     ASSERT_TRUE(before.ok()) << before.status().ToString();
@@ -154,12 +154,9 @@ TEST_P(EpochResolveTest, CachedReadsEqualFreshCompileAcrossEpochBumps) {
     ASSERT_TRUE(after.ok()) << after.status().ToString();
     EXPECT_GE((*after)->epoch, epoch_before);
 
-    // Cached-plan reads equal a fresh, cache-disabled resolution.
-    auto cached = testutil::Snapshot(&db);
-    db.access().set_plan_cache_enabled(false);
-    auto fresh = testutil::Snapshot(&db);
-    db.access().set_plan_cache_enabled(true);
-    std::string diff = testutil::DiffSnapshots(fresh, cached);
+    // Every cached plan equals a fresh compile.
+    (void)testutil::Snapshot(&db);
+    std::string diff = testutil::DiffCachedPlans(&db);
     ASSERT_TRUE(diff.empty()) << "seed " << seed << ", round " << round
                               << ": cached plan served stale route: "
                               << diff;

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "genealogy_builder.h"
 #include "handwritten/reference_sql.h"
 #include "inverda/inverda.h"
 #include "test_seed.h"
 #include "util/random.h"
+#include "util/thread_pool.h"
 
 namespace inverda {
 namespace {
@@ -213,6 +217,176 @@ TEST_P(CacheStalenessTest, CachedViewsNeverGoStale) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CacheStalenessTest,
                          ::testing::Values(2, 7, 11, 17, 23, 42));
+
+// A cache miss derives through the kernels' batch entry points: the
+// physical leaf of the chain is then read by ScanVersionBatch, which counts
+// a parallel scan on a sharded table. The row-at-a-time reference
+// (batching off) never does.
+TEST(ViewCacheBatchTest, CacheMissesDeriveBatched) {
+  ResetScanPoolForTest(2);
+  const int64_t prev_min_rows = ParallelScanMinRows();
+  SetParallelScanMinRows(1);
+  {
+    Inverda db(/*shards=*/4);
+    ASSERT_TRUE(db.Execute("CREATE SCHEMA VERSION V0 WITH "
+                           "CREATE TABLE tab(k0 INT, v0 TEXT);"
+                           "CREATE SCHEMA VERSION V1 FROM V0 WITH "
+                           "ADD COLUMN c1 INT AS k0 + 1 INTO tab;")
+                    .ok());
+    for (int i = 0; i < 64; ++i) {
+      ASSERT_TRUE(
+          db.Insert("V0", "tab", {Value::Int(i), Value::String("r")}).ok());
+    }
+    db.access().set_cache_enabled(true);
+    db.ResetMetrics();
+    ASSERT_EQ(db.Select("V1", "tab")->size(), 64u);
+    EXPECT_EQ(db.Metrics().value("view_cache.misses"), 1);
+    EXPECT_GT(db.Metrics().value("storage.parallel_scans"), 0);
+
+    db.access().InvalidateCache();
+    db.access().set_batch_enabled(false);
+    db.ResetMetrics();
+    ASSERT_EQ(db.Select("V1", "tab")->size(), 64u);
+    EXPECT_EQ(db.Metrics().value("view_cache.misses"), 1);
+    EXPECT_EQ(db.Metrics().value("storage.parallel_scans"), 0);
+  }
+  SetParallelScanMinRows(prev_min_rows);
+  ResetScanPoolForTest(0);
+}
+
+// Lockstep property: two instances grow the same random genealogy and
+// receive the same inserts, updates, deletes and MATERIALIZEs; one runs
+// with the view cache on, the other with it off. After every round, every
+// table version must read identically through Select, Get (every key plus
+// an absent one) and a top-level batch scan, whose kernels recurse through
+// the batch path.
+class CacheLockstepTest : public ::testing::TestWithParam<uint64_t> {};
+
+// One random write through a random version and table, applied alike to
+// both instances (`plain` picks the keys).
+void LockstepWrite(Inverda* cached, Inverda* plain, Random* rng,
+                   const std::vector<std::string>& versions) {
+  const std::string& version = versions[rng->NextUint64(versions.size())];
+  const SchemaVersionInfo* info = *plain->catalog().FindVersion(version);
+  if (info->tables.empty()) return;
+  auto it = info->tables.begin();
+  std::advance(it, static_cast<long>(rng->NextUint64(info->tables.size())));
+  const std::string& table = it->first;
+  Row row;
+  for (const Column& c :
+       plain->catalog().table_version(it->second).schema.columns()) {
+    row.push_back(c.type == DataType::kInt64
+                      ? Value::Int(rng->NextInt64(0, 99))
+                      : Value::String(rng->NextString(3)));
+  }
+  const uint64_t kind = rng->NextUint64(3);
+  Result<std::vector<KeyedRow>> rows = plain->Select(version, table);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  if (kind == 0 || rows->empty()) {
+    Result<int64_t> a = cached->Insert(version, table, row);
+    Result<int64_t> b = plain->Insert(version, table, row);
+    ASSERT_EQ(a.ok(), b.ok()) << a.status().ToString() << " vs "
+                              << b.status().ToString();
+    if (a.ok()) {
+      EXPECT_EQ(*a, *b);
+    }
+    return;
+  }
+  const int64_t key = (*rows)[rng->NextUint64(rows->size())].key;
+  Status a = kind == 1 ? cached->Update(version, table, key, row)
+                       : cached->Delete(version, table, key);
+  Status b = kind == 1 ? plain->Update(version, table, key, row)
+                       : plain->Delete(version, table, key);
+  ASSERT_EQ(a.ok(), b.ok()) << a.ToString() << " vs " << b.ToString();
+}
+
+// Every version's rows through a top-level batch scan, keyed like Snapshot.
+std::map<std::string, std::vector<KeyedRow>> BatchSnapshot(Inverda* db) {
+  std::map<std::string, std::vector<KeyedRow>> out;
+  for (const std::string& version : db->catalog().VersionNames()) {
+    const SchemaVersionInfo* info = *db->catalog().FindVersion(version);
+    for (const auto& [table, tv] : info->tables) {
+      RowBatch batch;
+      Status status = db->access().ScanVersionBatch(tv, &batch);
+      EXPECT_TRUE(status.ok()) << version << "." << table << ": "
+                               << status.ToString();
+      std::vector<KeyedRow>& rows = out[version + "." + table];
+      for (int64_t i = 0; i < batch.size(); ++i) {
+        if (batch.selected(i)) rows.push_back({batch.key_at(i), batch.RowAt(i)});
+      }
+    }
+  }
+  return out;
+}
+
+TEST_P(CacheLockstepTest, CachedAndUncachedInstancesReadAlike) {
+  const uint64_t seed = TestSeed(GetParam());
+  INVERDA_TRACE_SEED(seed);
+  Inverda cached;
+  Inverda plain;
+  testutil::GenealogyBuilder cached_builder(&cached, seed);
+  testutil::GenealogyBuilder plain_builder(&plain, seed);
+  ASSERT_TRUE(cached_builder.Init().ok());
+  ASSERT_TRUE(plain_builder.Init().ok());
+  for (int step = 0; step < 4; ++step) {
+    ASSERT_TRUE(cached_builder.Step().ok());
+    ASSERT_TRUE(plain_builder.Step().ok());
+  }
+  ASSERT_EQ(cached_builder.versions(), plain_builder.versions());
+  cached.access().set_cache_enabled(true);
+  Random rng(seed * 131 + 5);
+
+  Result<std::vector<std::set<SmoId>>> schemas =
+      plain.catalog().EnumerateValidMaterializations(/*limit=*/8);
+  ASSERT_TRUE(schemas.ok()) << schemas.status().ToString();
+
+  for (int round = 0; round < 12; ++round) {
+    if (round % 4 == 3 && schemas->size() > 1) {
+      const std::set<SmoId>& m = (*schemas)[rng.NextUint64(schemas->size())];
+      ASSERT_TRUE(cached.Materialize(MaterializeRequest::Schema(m)).ok());
+      ASSERT_TRUE(plain.Materialize(MaterializeRequest::Schema(m)).ok());
+    } else {
+      for (int w = 0; w < 4; ++w) {
+        ASSERT_NO_FATAL_FAILURE(
+            LockstepWrite(&cached, &plain, &rng, plain_builder.versions()));
+      }
+    }
+    // Select, twice on the cached side so the second read is a hit.
+    (void)testutil::Snapshot(&cached);
+    auto selected = testutil::Snapshot(&cached);
+    auto expected = testutil::Snapshot(&plain);
+    ASSERT_EQ(testutil::DiffSnapshots(expected, selected), "")
+        << "seed " << seed << ", round " << round << ": Select";
+    // A batch scan on each side.
+    ASSERT_EQ(testutil::DiffSnapshots(BatchSnapshot(&plain),
+                                      BatchSnapshot(&cached)),
+              "")
+        << "seed " << seed << ", round " << round << ": batch scan";
+    // Get for every key of every version, plus one absent key.
+    for (const auto& [name, rows] : expected) {
+      const size_t dot = name.find('.');
+      const std::string version = name.substr(0, dot);
+      const std::string table = name.substr(dot + 1);
+      std::vector<int64_t> keys = {-1};
+      for (const KeyedRow& kr : rows) keys.push_back(kr.key);
+      for (int64_t key : keys) {
+        Result<std::optional<Row>> a = cached.Get(version, table, key);
+        Result<std::optional<Row>> b = plain.Get(version, table, key);
+        ASSERT_TRUE(a.ok() && b.ok()) << name << "@" << key;
+        ASSERT_EQ(a->has_value(), b->has_value()) << name << "@" << key;
+        if (a->has_value()) {
+          EXPECT_TRUE(RowsEqual(**a, **b))
+              << "seed " << seed << ", round " << round << ": Get " << name
+              << "@" << key;
+        }
+      }
+    }
+  }
+  EXPECT_GT(cached.Metrics().value("view_cache.hits"), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CacheLockstepTest,
+                         ::testing::Values(3, 8, 13, 29, 31, 57));
 
 }  // namespace
 }  // namespace inverda

@@ -5,7 +5,9 @@
 //
 //   build/tools/inverda_shell < session.bidel
 //
-// Statements (each terminated by ';'):
+// Statements (each terminated by ';'; the SMO statements that follow a
+// CREATE SCHEMA VERSION ... WITH belong to it, and the whole evolution runs
+// once the next statement that is not an SMO, or the end of input, arrives):
 //   CREATE SCHEMA VERSION ... / DROP SCHEMA VERSION ... / MATERIALIZE ...
 //   SELECT FROM <version>.<table> [WHERE <condition>]
 //   INSERT INTO <version>.<table> VALUES (<literal>, ...)
@@ -28,6 +30,8 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <variant>
+#include <vector>
 
 #include "analysis/analyzer.h"
 #include "analysis/diagnostic.h"
@@ -132,20 +136,51 @@ class Shell {
         std::string statement(StripWhitespace(buffer.substr(0, semi)));
         buffer.erase(0, semi + 1);
         if (statement.empty()) continue;
+        if (!evolution_.empty() && ParseSmo(statement).ok()) {
+          evolution_ += ";\n" + statement;
+          continue;
+        }
+        RunEvolution();
         if (EqualsIgnoreCase(statement, "QUIT") ||
             EqualsIgnoreCase(statement, "EXIT")) {
           return 0;
         }
-        Status status = Dispatch(statement);
-        if (!status.ok()) {
-          std::printf("ERROR: %s\n", status.ToString().c_str());
+        if (OpensEvolution(statement)) {
+          evolution_ = statement;
+          continue;
         }
+        Report(statement);
       }
     }
+    RunEvolution();
     return 0;
   }
 
  private:
+  // True for a well-formed CREATE SCHEMA VERSION ... WITH statement: the
+  // SMO statements after it may extend its SMO list.
+  static bool OpensEvolution(const std::string& statement) {
+    Result<std::vector<BidelStatement>> parsed = ParseBidel(statement);
+    return parsed.ok() && parsed->size() == 1 &&
+           std::holds_alternative<EvolutionStatement>(parsed->front());
+  }
+
+  // Sends the open evolution block, if any, to Inverda::Execute as one
+  // script.
+  void RunEvolution() {
+    if (evolution_.empty()) return;
+    const std::string block = std::move(evolution_);
+    evolution_.clear();
+    Report(block);
+  }
+
+  void Report(const std::string& statement) {
+    Status status = Dispatch(statement);
+    if (!status.ok()) {
+      std::printf("ERROR: %s\n", status.ToString().c_str());
+    }
+  }
+
   static size_t FindStatementEnd(const std::string& text) {
     bool in_string = false;
     for (size_t i = 0; i < text.size(); ++i) {
@@ -593,6 +628,9 @@ class Shell {
   }
 
   Inverda db_;
+  // The CREATE SCHEMA VERSION statement being assembled, with the SMO
+  // statements that joined it ("" when none is open).
+  std::string evolution_;
 };
 
 }  // namespace
