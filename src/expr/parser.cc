@@ -1,5 +1,6 @@
 #include "expr/parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <cstdint>
@@ -154,21 +155,35 @@ class Parser {
     return std::to_string(at.line) + ":" + std::to_string(at.column);
   }
 
+  Status TooDeep(const Token& at) const {
+    return Status::InvalidArgument("expression nested deeper than " +
+                                   std::to_string(kMaxExpressionDepth) +
+                                   " levels at " + Where(at));
+  }
+
   // Runs `parse` one nesting level deeper: a parenthesised or argument
   // sub-expression, a unary minus or a NOT, opened by `opener`. Past
   // kMaxExpressionDepth the parse fails instead of exhausting the stack.
   template <typename Parse>
   Result<ExprPtr> Nested(const Token& opener, Parse parse) {
-    if (depth_ == kMaxExpressionDepth) {
-      return Status::InvalidArgument(
-          "expression nested deeper than " +
-          std::to_string(kMaxExpressionDepth) + " levels at " +
-          Where(opener));
-    }
+    if (depth_ == kMaxExpressionDepth) return TooDeep(opener);
     ++depth_;
     Result<ExprPtr> result = parse();
     --depth_;
     return result;
+  }
+
+  // Counts one link of a binary operator chain a OP b OP c ...: the
+  // operator `op` and its right operand, just parsed and height_ tall.
+  // `*height` is the chain's tree height so far. The chain parses
+  // iteratively, but the left-deep tree it builds grows one level per
+  // link, and Eval, CollectColumns, ToString and the destructor all
+  // recurse once per level; so a link that makes the tree taller than
+  // kMaxExpressionDepth fails the parse.
+  Status ChainLink(const Token& op, int* height) const {
+    *height = std::max(*height, height_) + 1;
+    if (*height > kMaxExpressionDepth) return TooDeep(op);
+    return Status::OK();
   }
 
   // A numeric token as an INT (no '.') or DOUBLE literal; a literal that
@@ -200,19 +215,27 @@ class Parser {
 
   Result<ExprPtr> ParseOr() {
     INVERDA_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAnd());
+    int height = height_;
     while (MatchKeyword("OR")) {
+      const Token& op = tokens_[pos_ - 1];
       INVERDA_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAnd());
+      INVERDA_RETURN_IF_ERROR(ChainLink(op, &height));
       lhs = MakeOr(std::move(lhs), std::move(rhs));
     }
+    height_ = height;
     return lhs;
   }
 
   Result<ExprPtr> ParseAnd() {
     INVERDA_ASSIGN_OR_RETURN(ExprPtr lhs, ParseNot());
+    int height = height_;
     while (MatchKeyword("AND")) {
+      const Token& op = tokens_[pos_ - 1];
       INVERDA_ASSIGN_OR_RETURN(ExprPtr rhs, ParseNot());
+      INVERDA_RETURN_IF_ERROR(ChainLink(op, &height));
       lhs = MakeAnd(std::move(lhs), std::move(rhs));
     }
+    height_ = height;
     return lhs;
   }
 
@@ -221,6 +244,7 @@ class Parser {
     if (MatchKeyword("NOT")) {
       INVERDA_ASSIGN_OR_RETURN(ExprPtr operand,
                                Nested(opener, [&] { return ParseNot(); }));
+      ++height_;
       return MakeNot(std::move(operand));
     }
     return ParseComparison();
@@ -233,6 +257,7 @@ class Parser {
       if (!MatchKeyword("NULL")) {
         return Status::InvalidArgument("expected NULL after IS");
       }
+      ++height_;
       return MakeIsNull(std::move(lhs), negated);
     }
     struct OpEntry {
@@ -244,9 +269,11 @@ class Parser {
         {"<=", CompareOp::kLe}, {">=", CompareOp::kGe}, {"<", CompareOp::kLt},
         {">", CompareOp::kGt},
     };
+    const int lhs_height = height_;
     for (const OpEntry& e : kOps) {
       if (MatchOperator(e.text)) {
         INVERDA_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAdditive());
+        height_ = std::max(lhs_height, height_) + 1;
         return MakeComparison(e.op, std::move(lhs), std::move(rhs));
       }
     }
@@ -255,6 +282,7 @@ class Parser {
 
   Result<ExprPtr> ParseAdditive() {
     INVERDA_ASSIGN_OR_RETURN(ExprPtr lhs, ParseMultiplicative());
+    int height = height_;
     while (true) {
       ArithOp op;
       if (MatchOperator("+")) {
@@ -266,14 +294,18 @@ class Parser {
       } else {
         break;
       }
+      const Token& op_token = tokens_[pos_ - 1];
       INVERDA_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMultiplicative());
+      INVERDA_RETURN_IF_ERROR(ChainLink(op_token, &height));
       lhs = MakeArith(op, std::move(lhs), std::move(rhs));
     }
+    height_ = height;
     return lhs;
   }
 
   Result<ExprPtr> ParseMultiplicative() {
     INVERDA_ASSIGN_OR_RETURN(ExprPtr lhs, ParseUnary());
+    int height = height_;
     while (true) {
       ArithOp op;
       if (MatchOperator("*")) {
@@ -285,9 +317,12 @@ class Parser {
       } else {
         break;
       }
+      const Token& op_token = tokens_[pos_ - 1];
       INVERDA_ASSIGN_OR_RETURN(ExprPtr rhs, ParseUnary());
+      INVERDA_RETURN_IF_ERROR(ChainLink(op_token, &height));
       lhs = MakeArith(op, std::move(lhs), std::move(rhs));
     }
+    height_ = height;
     return lhs;
   }
 
@@ -296,6 +331,7 @@ class Parser {
     if (MatchOperator("-")) {
       INVERDA_ASSIGN_OR_RETURN(ExprPtr operand,
                                Nested(opener, [&] { return ParseUnary(); }));
+      ++height_;
       return MakeArith(ArithOp::kSub, MakeLiteral(Value::Int(0)),
                        std::move(operand));
     }
@@ -304,6 +340,7 @@ class Parser {
 
   Result<ExprPtr> ParsePrimary() {
     const Token token = Advance();
+    height_ = 0;
     switch (token.kind) {
       case TokenKind::kNumber:
         return NumberLiteral(token);
@@ -322,10 +359,12 @@ class Parser {
         if (MatchOperator("(")) {
           const Token& opener = tokens_[pos_ - 1];
           std::vector<ExprPtr> args;
+          int height = 0;
           if (!MatchOperator(")")) {
             while (true) {
               INVERDA_ASSIGN_OR_RETURN(
                   ExprPtr arg, Nested(opener, [&] { return ParseOr(); }));
+              height = std::max(height, height_ + 1);
               args.push_back(std::move(arg));
               if (MatchOperator(")")) break;
               if (!MatchOperator(",")) {
@@ -334,6 +373,7 @@ class Parser {
               }
             }
           }
+          height_ = height;
           return MakeFunctionCall(token.text, std::move(args));
         }
         return MakeColumnRef(token.text);
@@ -358,7 +398,8 @@ class Parser {
   const std::string& text_;
   std::vector<Token> tokens_;
   size_t pos_ = 0;
-  int depth_ = 0;  // nesting levels open in Nested
+  int depth_ = 0;   // nesting levels open in Nested
+  int height_ = 0;  // tree height of the expression parsed last (leaf: 0)
 };
 
 }  // namespace

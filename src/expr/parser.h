@@ -17,13 +17,16 @@ namespace inverda {
 ///
 /// Errors come back as InvalidArgument, never as an exception: an INT
 /// literal outside int64 or a DOUBLE literal outside double range names
-/// the literal's line:column, and so does nesting deeper than
-/// kMaxExpressionDepth.
+/// the literal's line:column, and so does nesting or an operator chain
+/// deeper than kMaxExpressionDepth.
 Result<ExprPtr> ParseExpression(const std::string& text);
 
 /// Deepest accepted nesting of parenthesised (or function-argument)
 /// sub-expressions, unary minuses and NOTs, counted together; the parser
-/// recurses once per level, so the cap bounds its stack use.
+/// recurses once per level, so the cap bounds its stack use. The same cap
+/// bounds the tree height at each link of a binary operator chain (`a+a+...`
+/// of n terms is n - 1 levels tall), since every recursive walk of the
+/// parsed expression, Eval included, descends the tree level by level.
 inline constexpr int kMaxExpressionDepth = 256;
 
 }  // namespace inverda

@@ -121,6 +121,33 @@ class CondKernel : public Kernel {
                    const WriteSet& writes) const override;
 };
 
+/// The payload function that computes column b when a widening column
+/// hop finds no stored aux value, resolved once against the narrow schema
+/// it evaluates on: a literal is copied as is, anything else reads only
+/// the narrow positions in `reads`.
+struct WidenFn {
+  const Expression* fn = nullptr;
+  const TableSchema* narrow_schema = nullptr;  // schema `fn` evaluates on
+  const Value* literal = nullptr;  // fn->AsLiteral(): copy, never Eval
+  // Narrow positions of the columns `fn` names. A name the schema lacks
+  // is left out, so Eval still reports it as NotFound.
+  std::vector<int> reads;
+};
+
+/// Resolves `fn` (evaluated on `narrow_schema`) for BuildWidenColumn.
+WidenFn ResolveWidenFn(const Expression* fn, const TableSchema* narrow_schema);
+
+/// Builds column b of a widening hop for every selected row of `batch`,
+/// which holds narrow payloads: the value stored in `aux` under the row's
+/// key, else the payload function. Column-wise: a literal is copied, any
+/// other function is evaluated on one reused narrow-width buffer that
+/// receives only the cells it reads. Rows are visited in batch order, so
+/// the first failing row's Status is the one returned. Deselected rows get
+/// NULL. Both the column kernel and the fused column program widen here.
+Result<std::vector<Value>> BuildWidenColumn(const RowBatch& batch,
+                                            const Table& aux,
+                                            const WidenFn& payload);
+
 /// Resolved projection geometry of one ADD/DROP COLUMN plan hop, exported
 /// for the plan fusion pass (plan::BuildColumnProgram): whether deriving
 /// the planned side widens or narrows the payload, where column b sits in
@@ -130,8 +157,7 @@ struct ColumnHopInfo {
   bool widen = false;   // deriving the planned side inserts column b
   int b_index = 0;      // position of b in the wide payload
   std::string aux_b;    // physical B table name (widen only)
-  const Expression* fn = nullptr;              // fallback b computation
-  const TableSchema* narrow_schema = nullptr;  // schema `fn` evaluates on
+  WidenFn payload;      // fallback b computation (widen only)
 };
 
 /// Resolves the projection geometry of a column-mapping step that derives

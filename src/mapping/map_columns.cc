@@ -1,5 +1,7 @@
 #include "mapping/kernels.h"
 
+#include <set>
+
 namespace inverda {
 
 // ---------------------------------------------------------------------------
@@ -176,17 +178,10 @@ Status ColumnKernel::DeriveReadBatch(const SmoContext& ctx, SmoSide side,
   INVERDA_RETURN_IF_ERROR(
       ctx.backend->ScanVersionBatch(roles.narrow->id, out));
   INVERDA_ASSIGN_OR_RETURN(Table * b_aux, ctx.Aux("B"));
-  std::vector<Value> b(static_cast<size_t>(out->size()));
-  for (int64_t i = 0; i < out->size(); ++i) {
-    if (!out->selected(i)) continue;
-    if (const Row* stored = b_aux->Find(out->key_at(i))) {
-      b[static_cast<size_t>(i)] = (*stored)[0];
-      continue;
-    }
-    INVERDA_ASSIGN_OR_RETURN(
-        b[static_cast<size_t>(i)],
-        roles.fn->Eval(*roles.narrow->schema, out->RowAt(i)));
-  }
+  INVERDA_ASSIGN_OR_RETURN(
+      std::vector<Value> b,
+      BuildWidenColumn(*out, *b_aux,
+                       ResolveWidenFn(roles.fn, roles.narrow->schema)));
   return out->InsertColumn(roles.b_index, std::move(b));
 }
 
@@ -283,10 +278,56 @@ Result<ColumnHopInfo> ResolveColumnHop(const SmoContext& ctx, SmoSide side) {
       return Status::Internal("aux B not physical for " + ctx.smo->ToString());
     }
     info.aux_b = it->second;
-    info.fn = roles.fn;
-    info.narrow_schema = roles.narrow->schema;
+    info.payload = ResolveWidenFn(roles.fn, roles.narrow->schema);
   }
   return info;
+}
+
+WidenFn ResolveWidenFn(const Expression* fn, const TableSchema* narrow_schema) {
+  WidenFn payload;
+  payload.fn = fn;
+  payload.narrow_schema = narrow_schema;
+  payload.literal = fn->AsLiteral();
+  if (payload.literal) return payload;
+  std::set<std::string> names;
+  fn->CollectColumns(&names);
+  for (const std::string& name : names) {
+    if (std::optional<int> idx = narrow_schema->FindColumn(name)) {
+      payload.reads.push_back(*idx);
+    }
+  }
+  return payload;
+}
+
+Result<std::vector<Value>> BuildWidenColumn(const RowBatch& batch,
+                                            const Table& aux,
+                                            const WidenFn& payload) {
+  std::vector<Value> b(static_cast<size_t>(batch.size()));
+  if (batch.empty()) return b;
+  const int width = payload.narrow_schema->num_columns();
+  if (batch.num_columns() != width) {
+    return Status::Internal("widen input has " +
+                            std::to_string(batch.num_columns()) +
+                            " columns, " + payload.narrow_schema->ToString() +
+                            " has " + std::to_string(width));
+  }
+  Row narrow(static_cast<size_t>(width));  // only `reads` cells are written
+  for (int64_t i = 0; i < batch.size(); ++i) {
+    if (!batch.selected(i)) continue;
+    const size_t row = static_cast<size_t>(i);
+    if (const Row* stored = aux.Find(batch.key_at(i))) {
+      b[row] = (*stored)[0];
+    } else if (payload.literal) {
+      b[row] = *payload.literal;
+    } else {
+      for (int c : payload.reads) {
+        narrow[static_cast<size_t>(c)] = batch.column(c)[row];
+      }
+      INVERDA_ASSIGN_OR_RETURN(
+          b[row], payload.fn->Eval(*payload.narrow_schema, narrow));
+    }
+  }
+  return b;
 }
 
 }  // namespace inverda

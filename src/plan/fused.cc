@@ -46,8 +46,7 @@ Result<ColumnProgram> BuildColumnProgram(const std::vector<PlanStep>& run) {
     if (hop.widen) {
       op.kind = ColumnOp::Kind::kWiden;
       op.aux_table = std::move(hop.aux_b);
-      op.fn = hop.fn;
-      op.narrow_schema = hop.narrow_schema;
+      op.payload = std::move(hop.payload);
     } else {
       op.kind = ColumnOp::Kind::kNarrow;
     }
@@ -84,8 +83,11 @@ Status ApplyProgramRow(const ColumnProgram& program, AccessBackend& backend,
     Value b;
     if (const Row* stored = aux->Find(key)) {
       b = (*stored)[0];
+    } else if (op.payload.literal) {
+      b = *op.payload.literal;
     } else {
-      INVERDA_ASSIGN_OR_RETURN(b, op.fn->Eval(*op.narrow_schema, *row));
+      INVERDA_ASSIGN_OR_RETURN(
+          b, op.payload.fn->Eval(*op.payload.narrow_schema, *row));
     }
     row->insert(row->begin() + static_cast<Row::difference_type>(op.index),
                 std::move(b));
@@ -94,8 +96,9 @@ Status ApplyProgramRow(const ColumnProgram& program, AccessBackend& backend,
 }
 
 /// Applies the composed program to a whole batch: narrowing is one column
-/// erase, widening one column build + insert. Per-row work only happens
-/// where the per-hop semantics demand it (aux lookups / payload functions).
+/// erase, widening one column build (BuildWidenColumn: aux lookup per row,
+/// then a literal copy or an Eval over the cells the function reads) and
+/// one column insert. No row is ever gathered whole.
 Status ApplyProgramBatch(const ColumnProgram& program, AccessBackend& backend,
                          RowBatch* batch) {
   for (const ColumnOp& op : program.ops) {
@@ -104,16 +107,8 @@ Status ApplyProgramBatch(const ColumnProgram& program, AccessBackend& backend,
       continue;
     }
     INVERDA_ASSIGN_OR_RETURN(Table * aux, backend.db().GetTable(op.aux_table));
-    std::vector<Value> b(static_cast<size_t>(batch->size()));
-    for (int64_t i = 0; i < batch->size(); ++i) {
-      if (!batch->selected(i)) continue;
-      if (const Row* stored = aux->Find(batch->key_at(i))) {
-        b[static_cast<size_t>(i)] = (*stored)[0];
-        continue;
-      }
-      INVERDA_ASSIGN_OR_RETURN(b[static_cast<size_t>(i)],
-                               op.fn->Eval(*op.narrow_schema, batch->RowAt(i)));
-    }
+    INVERDA_ASSIGN_OR_RETURN(std::vector<Value> b,
+                             BuildWidenColumn(*batch, *aux, op.payload));
     INVERDA_RETURN_IF_ERROR(batch->InsertColumn(op.index, std::move(b)));
   }
   return Status::OK();

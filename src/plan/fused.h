@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "mapping/kernels.h"
 #include "plan/plan.h"
 #include "util/status.h"
 
@@ -19,14 +20,15 @@ namespace plan {
 /// the physical aux table when present and evaluating the SMO's payload
 /// function against the current (narrow) tuple otherwise — exactly the
 /// per-hop rule of ColumnKernel, pre-resolved so execution needs no
-/// catalog or role lookups.
+/// catalog or role lookups. The payload function comes resolved too
+/// (WidenFn): a literal is copied, anything else reads only the narrow
+/// positions it names, so a batch widen never gathers a whole row.
 struct ColumnOp {
   enum class Kind { kNarrow, kWiden };
   Kind kind = Kind::kNarrow;
   int index = 0;          // position of b in the wide payload
   std::string aux_table;  // kWiden: physical B table name
-  const Expression* fn = nullptr;              // kWiden: fallback computation
-  const TableSchema* narrow_schema = nullptr;  // schema `fn` evaluates on
+  WidenFn payload;        // kWiden: fallback computation
 };
 
 /// The composed projection program of one fused plan step: the column ops
@@ -58,7 +60,8 @@ Status FusedDerive(const PlanStep& step, std::optional<int64_t> key,
                    Table* out);
 
 /// Batch form of FusedDerive: scans the inner version into a columnar
-/// batch once and applies the program as whole-column inserts/erases.
+/// batch once and applies the program as whole-column inserts/erases;
+/// each widened column is built column-wise by BuildWidenColumn.
 Status FusedDeriveBatch(const PlanStep& step, RowBatch* out);
 
 /// Executes a fused step's write path: replays the original kernels'

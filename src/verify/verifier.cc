@@ -508,8 +508,8 @@ AnalysisReport ValidateFusedStep(const plan::PlanStep& step,
       SymCol widened;
       widened.widened = true;
       widened.aux = op.aux_table;
-      widened.fn = op.fn;
-      widened.narrow_schema = op.narrow_schema;
+      widened.fn = op.payload.fn;
+      widened.narrow_schema = op.payload.narrow_schema;
       actual.insert(actual.begin() + static_cast<ptrdiff_t>(op.index),
                     widened);
     }

@@ -145,6 +145,60 @@ TEST(ExprTest, NestingDepthIsCapped) {
   EXPECT_FALSE(ParseExpression(nested(100000)).ok());
 }
 
+// A binary operator chain parses iteratively but builds a left-deep tree
+// one level per link, which Eval walks recursively; the chain's height
+// counts against the same cap, and the parse fails at the first operator
+// past it.
+TEST(ExprTest, OperatorChainHeightIsCapped) {
+  // `terms` operands joined by `op`; the first one is `first`.
+  auto chain = [](int terms, const std::string& op,
+                  const std::string& first = "prio") {
+    std::string text = first;
+    for (int i = 1; i < terms; ++i) text.append(op).append("prio");
+    return text;
+  };
+  // kMaxExpressionDepth links: a tree exactly that tall parses and runs.
+  Result<ExprPtr> tallest =
+      ParseExpression(chain(kMaxExpressionDepth + 1, " + "));
+  ASSERT_TRUE(tallest.ok()) << tallest.status().ToString();
+  EXPECT_EQ(*(*tallest)->Eval(TaskSchema(), TaskRow("Ann", "x", 1)),
+            Value::Int(kMaxExpressionDepth + 1));
+
+  const std::string too_tall = chain(kMaxExpressionDepth + 2, " + ");
+  Result<ExprPtr> rejected = ParseExpression(too_tall);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(rejected.status().message().find(
+                "at 1:" + std::to_string(too_tall.rfind('+') + 1)),
+            std::string::npos)
+      << rejected.status().ToString();
+
+  for (const char* op : {" - ", " * ", " / ", " || ", " OR ", " AND "}) {
+    EXPECT_TRUE(ParseExpression(chain(kMaxExpressionDepth + 1, op)).ok())
+        << op;
+    EXPECT_FALSE(ParseExpression(chain(kMaxExpressionDepth + 2, op)).ok())
+        << op;
+  }
+  // A chain's tree stacks on the operands' trees: 200 links inside the
+  // parentheses plus 100 outside are 300 levels.
+  auto parenthesised = [](const std::string& text) {
+    return std::string("(").append(text).append(")");
+  };
+  EXPECT_FALSE(
+      ParseExpression(chain(101, " * ", parenthesised(chain(201, " + "))))
+          .ok());
+  EXPECT_FALSE(
+      ParseExpression(chain(101, " + ", parenthesised(chain(201, " * "))))
+          .ok());
+  EXPECT_TRUE(
+      ParseExpression(chain(50, " + ", parenthesised(chain(201, " * "))))
+          .ok());
+  // 60 000 terms: the length that crashed a read, then Execute itself.
+  Result<ExprPtr> huge = ParseExpression(chain(60000, "+"));
+  ASSERT_FALSE(huge.ok());
+  EXPECT_EQ(huge.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(ExprTest, UnknownColumnFailsAtEval) {
   Row row = TaskRow("Ann", "write", 1);
   Result<Value> v = Eval("nope = 1", row);

@@ -27,6 +27,27 @@ TEST(InverdaBasicTest, CreateAndUseSingleVersion) {
   EXPECT_FALSE(db.Get("V1", "T", *key)->has_value());
 }
 
+// An ADD COLUMN function of 16 000 terms used to evolve and insert fine,
+// then overflow the stack on the first read of the new version; its
+// operator chain is now rejected when the script is parsed.
+TEST(InverdaBasicTest, LongOperatorChainIsRejectedAtExecute) {
+  Inverda db;
+  ASSERT_TRUE(
+      db.Execute("CREATE SCHEMA VERSION V1 WITH CREATE TABLE T(a INT);").ok());
+  std::string fn = "a";
+  for (int i = 1; i < 16000; ++i) fn += "+a";
+  Status status = db.Execute("CREATE SCHEMA VERSION V2 FROM V1 WITH "
+                             "ADD COLUMN b INT AS " +
+                             fn + " INTO T;");
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("deeper than 256 levels at 1:"),
+            std::string::npos)
+      << status.ToString();
+  EXPECT_FALSE(db.catalog().FindVersion("V2").ok());
+  int64_t key = *db.Insert("V1", "T", {Value::Int(2)});
+  EXPECT_EQ((**db.Get("V1", "T", key))[0], Value::Int(2));
+}
+
 TEST(InverdaBasicTest, SelectAndSelectWhere) {
   Inverda db;
   ASSERT_TRUE(db.Execute("CREATE SCHEMA VERSION V1 WITH "

@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "inverda/inverda.h"
+#include "plan/fused.h"
 
 namespace inverda {
 namespace {
@@ -141,6 +146,172 @@ TEST_F(DropColumnTest, ChainedColumnSmos) {
   Row v1 = **db_.Get("V1", "T", key2);
   EXPECT_EQ(v1[0], Value::Int(4));
   EXPECT_EQ(v1[1], Value::String("none"));
+}
+
+// --- the widen path of a fused column program ---------------------------
+
+// Everything one configuration of the access layer reads from `version`.T:
+// Select, a top-level ScanVersionBatch and a Get of every key in `keys`
+// (the first failure, if any, is kept as `status`).
+struct WidenReads {
+  Status status = Status::OK();
+  std::vector<KeyedRow> select;
+  std::vector<KeyedRow> batch;
+  std::vector<std::optional<Row>> gets;
+};
+
+WidenReads ReadAll(Inverda* db, const std::string& version,
+                   const std::vector<int64_t>& keys, bool fusion, bool batch) {
+  db->access().set_fusion_enabled(fusion);
+  db->access().set_batch_enabled(batch);
+  WidenReads out;
+  Result<std::vector<KeyedRow>> rows = db->Select(version, "T");
+  if (!rows.ok()) {
+    out.status = rows.status();
+    return out;
+  }
+  out.select = std::move(rows).value();
+  RowBatch scanned;
+  out.status = db->access().ScanVersionBatch(
+      *db->catalog().ResolveTable(version, "T"), &scanned);
+  if (!out.status.ok()) return out;
+  for (int64_t i = 0; i < scanned.size(); ++i) {
+    if (scanned.selected(i)) {
+      out.batch.push_back({scanned.key_at(i), scanned.RowAt(i)});
+    }
+  }
+  for (int64_t key : keys) {
+    Result<std::optional<Row>> row = db->Get(version, "T", key);
+    if (!row.ok()) {
+      out.status = row.status();
+      return out;
+    }
+    out.gets.push_back(std::move(row).value());
+  }
+  return out;
+}
+
+void ExpectSameRows(const std::vector<KeyedRow>& a,
+                    const std::vector<KeyedRow>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].key, b[i].key);
+    EXPECT_EQ(a[i].row, b[i].row) << "key " << a[i].key;
+  }
+}
+
+// Three ADD COLUMN hops over physical V1 fuse into one program of three
+// widens: d reads c, which the first widen of the same run produced, and
+// e is a literal. Rows written through V4 keep c, d and e in the aux
+// tables (hits), rows written through V2 keep only c, and rows written
+// through V1 compute all three (misses). Every combination of fusion and
+// batching reads the same rows through Select, ScanVersionBatch and Get.
+TEST(WidenChainTest, FusedWidensAgreeAcrossFusionAndBatching) {
+  Inverda db;
+  ASSERT_TRUE(db.Execute("CREATE SCHEMA VERSION V1 WITH "
+                         "CREATE TABLE T(a INT, b TEXT);"
+                         "CREATE SCHEMA VERSION V2 FROM V1 WITH "
+                         "ADD COLUMN c INT AS a * 10 INTO T;"
+                         "CREATE SCHEMA VERSION V3 FROM V2 WITH "
+                         "ADD COLUMN d INT AS c + 1 INTO T;"
+                         "CREATE SCHEMA VERSION V4 FROM V3 WITH "
+                         "ADD COLUMN e INT AS 7 INTO T;")
+                  .ok());
+  std::vector<int64_t> keys;
+  for (int i = 0; i < 6; ++i) {
+    keys.push_back(*db.Insert("V1", "T", {Value::Int(i), Value::String("n")}));
+    keys.push_back(*db.Insert("V4", "T",
+                              {Value::Int(i), Value::String("w"),
+                               Value::Int(100 + i), Value::Int(200 + i),
+                               Value::Int(300 + i)}));
+    keys.push_back(*db.Insert("V2", "T", {Value::Int(i), Value::String("m"),
+                                          Value::Int(50 + i)}));
+  }
+  // A V1 update of a V4-written row keeps its stored c, d and e.
+  ASSERT_TRUE(db.Update("V1", "T", keys[1],
+                        {Value::Int(9), Value::String("u")})
+                  .ok());
+  keys.push_back(keys.back() + 1000);  // absent key
+
+  db.access().set_fusion_enabled(true);
+  const plan::TvPlan* plan =
+      *db.access().GetPlan(*db.catalog().ResolveTable("V4", "T"));
+  ASSERT_EQ(plan->steps.size(), 1u);
+  ASSERT_EQ(plan->steps[0].fused.size(), 3u);
+  ASSERT_EQ(plan->steps[0].program->ops.size(), 3u);
+
+  const WidenReads reference = ReadAll(&db, "V4", keys, false, false);
+  ASSERT_TRUE(reference.status.ok()) << reference.status.ToString();
+  ASSERT_EQ(reference.select.size(), keys.size() - 1);
+  // Pinned values: a miss computes c = a * 10, d = c + 1, e = 7 ...
+  EXPECT_EQ(*reference.gets[3],
+            (Row{Value::Int(1), Value::String("n"), Value::Int(10),
+                 Value::Int(11), Value::Int(7)}));
+  // ... a V4 write keeps all three, through a V1 update too ...
+  EXPECT_EQ(*reference.gets[1],
+            (Row{Value::Int(9), Value::String("u"), Value::Int(100),
+                 Value::Int(200), Value::Int(300)}));
+  // ... and a V2 write keeps c, from which d is computed.
+  EXPECT_EQ(*reference.gets[5],
+            (Row{Value::Int(1), Value::String("m"), Value::Int(51),
+                 Value::Int(52), Value::Int(7)}));
+  EXPECT_FALSE(reference.gets.back().has_value());
+
+  for (bool fusion : {false, true}) {
+    for (bool batch : {false, true}) {
+      SCOPED_TRACE("fusion=" + std::to_string(fusion) +
+                   " batch=" + std::to_string(batch));
+      const WidenReads reads = ReadAll(&db, "V4", keys, fusion, batch);
+      ASSERT_TRUE(reads.status.ok()) << reads.status.ToString();
+      ExpectSameRows(reads.select, reference.select);
+      ExpectSameRows(reads.batch, reference.select);
+      EXPECT_EQ(reads.gets, reference.gets);
+    }
+  }
+}
+
+// A payload function that fails on some rows: the first failing row in key
+// order decides the Status, on the batch path exactly as row at a time.
+TEST(WidenChainTest, FailingPayloadFunctionFailsAlikeOnEveryPath) {
+  Inverda db;
+  ASSERT_TRUE(db.Execute("CREATE SCHEMA VERSION V1 WITH "
+                         "CREATE TABLE T(a INT, b TEXT);"
+                         "CREATE SCHEMA VERSION V2 FROM V1 WITH "
+                         "ADD COLUMN c INT AS a * 10 INTO T;"
+                         "CREATE SCHEMA VERSION V3 FROM V2 WITH "
+                         "ADD COLUMN f INT AS 100 / (a - 5) + b INTO T;"
+                         "CREATE SCHEMA VERSION V4 FROM V3 WITH "
+                         "ADD COLUMN e INT AS 7 INTO T;")
+                  .ok());
+  // f: NULL, then division by zero, then arithmetic on text.
+  const int64_t fine = *db.Insert("V1", "T", {Value::Int(1), Value::Null()});
+  const int64_t by_zero =
+      *db.Insert("V1", "T", {Value::Int(5), Value::Null()});
+  const int64_t text =
+      *db.Insert("V1", "T", {Value::Int(2), Value::String("x")});
+
+  const WidenReads reference = ReadAll(&db, "V4", {}, false, false);
+  ASSERT_FALSE(reference.status.ok());
+  EXPECT_EQ(reference.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(reference.status.message(), "division by zero");
+  for (bool fusion : {false, true}) {
+    for (bool batch : {false, true}) {
+      SCOPED_TRACE("fusion=" + std::to_string(fusion) +
+                   " batch=" + std::to_string(batch));
+      EXPECT_EQ(ReadAll(&db, "V4", {}, fusion, batch).status.ToString(),
+                reference.status.ToString());
+      // Point reads fail row by row: NULL, division, text.
+      db.access().set_fusion_enabled(fusion);
+      db.access().set_batch_enabled(batch);
+      EXPECT_TRUE(db.Get("V4", "T", fine).ok());
+      EXPECT_EQ(db.Get("V4", "T", by_zero).status().message(),
+                "division by zero");
+      EXPECT_EQ(db.Get("V4", "T", text).status().code(),
+                StatusCode::kInvalidArgument);
+      EXPECT_NE(db.Get("V4", "T", text).status().message(),
+                "division by zero");
+    }
+  }
 }
 
 }  // namespace

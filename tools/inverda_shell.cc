@@ -25,6 +25,8 @@
 //   ADVISE [APPLY|JSON|AUTO [ON|OFF]]  -- materialization advisor
 //   HELP | QUIT
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -125,7 +127,9 @@ class Shell {
     std::printf("InVerDa shell — co-existing schema versions. Type HELP;\n");
     std::string buffer;
     std::string line;
-    bool interactive = true;
+    // Prompts only for a person at a terminal; piped sessions (scripts,
+    // smoke tests) get statement output alone.
+    const bool interactive = isatty(fileno(stdin)) != 0;
     while (true) {
       if (interactive) std::printf(buffer.empty() ? "inverda> " : "    ...> ");
       if (!std::getline(std::cin, line)) break;
