@@ -11,11 +11,13 @@
 #include <vector>
 
 #include "inverda/inverda.h"
+#include "plan/fused.h"
 #include "util/thread_pool.h"
 
 namespace inverda {
 
 thread_local int AccessLayer::access_depth_ = 0;
+thread_local int AccessLayer::cache_bypass_depth_ = 0;
 thread_local WriteTrace AccessLayer::last_trace_;
 
 namespace {
@@ -45,6 +47,7 @@ void FillStepSpan(obs::TraceSpan* span, const plan::PlanStep& step) {
     for (const plan::PlanStep& sub : step.fused) {
       span->fused_hops.emplace_back(sub.kernel->name(), sub.smo_text);
     }
+    span->fused_layout = step.layout->Summary();
   }
 }
 
@@ -461,7 +464,7 @@ Status AccessLayer::ScanVersion(TvId tv, const RowCallback& fn) {
     table->Scan(fn);
     return Status::OK();
   }
-  if (cache_enabled_) {
+  if (UseCache()) {
     INVERDA_ASSIGN_OR_RETURN(std::shared_ptr<const RowBatch> view,
                              CachedView(p, hot, span.get()));
     if (span) [[unlikely]] span->rows_out = view->size();
@@ -485,14 +488,19 @@ Status AccessLayer::ScanVersion(TvId tv, const RowCallback& fn) {
   return Status::OK();
 }
 
-Status AccessLayer::ScanVersionBatch(TvId tv, RowBatch* out) {
+Status AccessLayer::ScanVersionBatch(TvId tv, RowBatch* out,
+                                     const std::vector<int>* columns) {
   // The columnar counterpart of ScanVersion: physical versions fill the
   // batch straight from the data table, virtual ones derive through the
   // kernels' batch entry points (PlanStep::DeriveBatch). Kernel recursion
   // re-enters here, so a batch scan stays columnar down the whole chain.
   // With batching disabled, the base-class bridge collects rows through
-  // the ordinary ScanVersion — the row-at-a-time baseline.
-  if (!batch_enabled_) return AccessBackend::ScanVersionBatch(tv, out);
+  // the ordinary ScanVersion — the row-at-a-time baseline. A `columns`
+  // projection copies only those cells of a physical table; a derived
+  // version is derived whole and its kept columns moved out.
+  if (!batch_enabled_) {
+    return AccessBackend::ScanVersionBatch(tv, out, columns);
+  }
   CountAccess(tv, /*write=*/false);
   const uint32_t hot = obs_->hot();
   const bool timed = (hot & obs::Observability::kTimingBit) != 0;
@@ -523,12 +531,13 @@ Status AccessLayer::ScanVersionBatch(TvId tv, RowBatch* out) {
       }
       span->rows_out = table->size();
     }
-    return BatchFromTable(*table, out);
+    return BatchFromTable(*table, out, columns);
   }
-  if (cache_enabled_) {
+  if (UseCache()) {
     INVERDA_ASSIGN_OR_RETURN(std::shared_ptr<const RowBatch> view,
                              CachedView(p, hot, span.get()));
     if (span) [[unlikely]] span->rows_out = view->size();
+    if (columns != nullptr) return out->AssignProjection(*view, *columns);
     INVERDA_RETURN_IF_ERROR(out->SetNumColumns(view->num_columns()));
     if (out->empty() && !out->has_selection()) {
       *out = *view;  // the usual case: a fresh batch takes the columns
@@ -538,6 +547,12 @@ Status AccessLayer::ScanVersionBatch(TvId tv, RowBatch* out) {
       INVERDA_RETURN_IF_ERROR(out->AppendRow(view->key_at(i), view->RowAt(i)));
     }
     return Status::OK();
+  }
+  if (columns != nullptr) {
+    RowBatch full;
+    INVERDA_RETURN_IF_ERROR(DeriveFirstStep(p, hot, &full));
+    if (span) [[unlikely]] span->rows_out = full.selected_count();
+    return out->AssignProjection(std::move(full), *columns);
   }
   INVERDA_RETURN_IF_ERROR(DeriveFirstStep(p, hot, out));
   if (span) [[unlikely]] span->rows_out = out->selected_count();
@@ -583,7 +598,7 @@ Result<std::optional<Row>> AccessLayer::FindVersion(TvId tv, int64_t key) {
     if (span) [[unlikely]] span->rows_out = 1;
     return std::optional<Row>(*row);
   }
-  if (cache_enabled_) {
+  if (UseCache()) {
     // Answered from the whole cached view (derived and stored on a miss,
     // exactly like a scan): binary search over its ascending keys.
     INVERDA_ASSIGN_OR_RETURN(std::shared_ptr<const RowBatch> view,

@@ -58,7 +58,8 @@ class AccessLayer : public AccessBackend {
   AccessLayer(VersionCatalog* catalog, Database* db, obs::Observability* obs);
 
   Status ScanVersion(TvId tv, const RowCallback& fn) override;
-  Status ScanVersionBatch(TvId tv, RowBatch* out) override;
+  Status ScanVersionBatch(TvId tv, RowBatch* out,
+                          const std::vector<int>* columns = nullptr) override;
   Result<std::optional<Row>> FindVersion(TvId tv, int64_t key) override;
   Status ApplyToVersion(TvId tv, const WriteSet& writes) override;
   Database& db() override { return *db_; }
@@ -142,6 +143,18 @@ class AccessLayer : public AccessBackend {
   /// figures measure); see bench/ablation_view_cache.
   void set_cache_enabled(bool enabled) { cache_enabled_ = enabled; }
   bool cache_enabled() const { return cache_enabled_; }
+
+  /// While alive, the calling thread's reads neither consult nor fill the
+  /// view cache (writes still invalidate it). Migration backfill reads
+  /// derive pre-migration content the flip evicts anyway; caching it would
+  /// hold a full copy of each staged view until then.
+  class CacheBypass {
+   public:
+    CacheBypass() { ++cache_bypass_depth_; }
+    ~CacheBypass() { --cache_bypass_depth_; }
+    CacheBypass(const CacheBypass&) = delete;
+    CacheBypass& operator=(const CacheBypass&) = delete;
+  };
 
   /// Drops all cached derived views (schema drops and explicit resets;
   /// bench/ablation_view_cache also calls it to emulate clear-all
@@ -352,6 +365,11 @@ class AccessLayer : public AccessBackend {
   // at the top level of an access chain.
   static thread_local int access_depth_;
   static thread_local WriteTrace last_trace_;
+  // Live CacheBypass guards on the calling thread.
+  static thread_local int cache_bypass_depth_;
+
+  // Whether this thread's reads go through the view cache.
+  bool UseCache() const { return cache_enabled_ && cache_bypass_depth_ == 0; }
 };
 
 /// One materialization request — the single argument of the unified

@@ -137,19 +137,22 @@ struct WidenFn {
 /// Resolves `fn` (evaluated on `narrow_schema`) for BuildWidenColumn.
 WidenFn ResolveWidenFn(const Expression* fn, const TableSchema* narrow_schema);
 
-/// Builds column b of a widening hop for every selected row of `batch`,
-/// which holds narrow payloads: the value stored in `aux` under the row's
-/// key, else the payload function. Column-wise: a literal is copied, any
-/// other function is evaluated on one reused narrow-width buffer that
-/// receives only the cells it reads. Rows are visited in batch order, so
-/// the first failing row's Status is the one returned. Deselected rows get
-/// NULL. Both the column kernel and the fused column program widen here.
-Result<std::vector<Value>> BuildWidenColumn(const RowBatch& batch,
-                                            const Table& aux,
-                                            const WidenFn& payload);
+/// Builds column b of a widening hop for every selected row of `batch`
+/// (which supplies the keys and the selection): the value stored in `aux`
+/// under the row's key, else the payload function. `cells[i]` is the
+/// column holding narrow position `payload.reads[i]`, so the narrow
+/// payload never has to exist as a batch. Column-wise: a literal is
+/// copied, any other function is evaluated on one reused narrow-width
+/// buffer that receives only the cells it reads; an empty `aux` is never
+/// probed. Rows are visited in batch order, so the first failing row's
+/// Status is the one returned. Deselected rows get NULL. Both the column
+/// kernel and the fused column layout widen here.
+Result<std::vector<Value>> BuildWidenColumn(
+    const RowBatch& batch, const std::vector<const std::vector<Value>*>& cells,
+    const Table& aux, const WidenFn& payload);
 
 /// Resolved projection geometry of one ADD/DROP COLUMN plan hop, exported
-/// for the plan fusion pass (plan::BuildColumnProgram): whether deriving
+/// for the plan fusion pass (plan::BuildColumnLayout): whether deriving
 /// the planned side widens or narrows the payload, where column b sits in
 /// the wide payload, and how to obtain b when widening (stored aux value
 /// by key, else the SMO's payload function).

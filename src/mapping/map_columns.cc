@@ -177,11 +177,20 @@ Status ColumnKernel::DeriveReadBatch(const SmoContext& ctx, SmoSide side,
   // row path applies per tuple).
   INVERDA_RETURN_IF_ERROR(
       ctx.backend->ScanVersionBatch(roles.narrow->id, out));
+  const int width = roles.narrow->schema->num_columns();
+  if (!out->empty() && out->num_columns() != width) {
+    return Status::Internal("widen input has " +
+                            std::to_string(out->num_columns()) +
+                            " columns, " + roles.narrow->schema->ToString() +
+                            " has " + std::to_string(width));
+  }
+  INVERDA_RETURN_IF_ERROR(out->SetNumColumns(width));
   INVERDA_ASSIGN_OR_RETURN(Table * b_aux, ctx.Aux("B"));
-  INVERDA_ASSIGN_OR_RETURN(
-      std::vector<Value> b,
-      BuildWidenColumn(*out, *b_aux,
-                       ResolveWidenFn(roles.fn, roles.narrow->schema)));
+  const WidenFn payload = ResolveWidenFn(roles.fn, roles.narrow->schema);
+  std::vector<const std::vector<Value>*> cells;
+  for (int c : payload.reads) cells.push_back(&out->column(c));
+  INVERDA_ASSIGN_OR_RETURN(std::vector<Value> b,
+                           BuildWidenColumn(*out, cells, *b_aux, payload));
   return out->InsertColumn(roles.b_index, std::move(b));
 }
 
@@ -299,33 +308,47 @@ WidenFn ResolveWidenFn(const Expression* fn, const TableSchema* narrow_schema) {
   return payload;
 }
 
-Result<std::vector<Value>> BuildWidenColumn(const RowBatch& batch,
-                                            const Table& aux,
-                                            const WidenFn& payload) {
-  std::vector<Value> b(static_cast<size_t>(batch.size()));
-  if (batch.empty()) return b;
-  const int width = payload.narrow_schema->num_columns();
-  if (batch.num_columns() != width) {
-    return Status::Internal("widen input has " +
-                            std::to_string(batch.num_columns()) +
-                            " columns, " + payload.narrow_schema->ToString() +
-                            " has " + std::to_string(width));
+Result<std::vector<Value>> BuildWidenColumn(
+    const RowBatch& batch, const std::vector<const std::vector<Value>*>& cells,
+    const Table& aux, const WidenFn& payload) {
+  const size_t n = static_cast<size_t>(batch.size());
+  if (cells.size() != payload.reads.size()) {
+    return Status::Internal("widen of " + payload.narrow_schema->ToString() +
+                            " got " + std::to_string(cells.size()) +
+                            " input columns for " +
+                            std::to_string(payload.reads.size()) + " reads");
   }
-  Row narrow(static_cast<size_t>(width));  // only `reads` cells are written
-  for (int64_t i = 0; i < batch.size(); ++i) {
-    if (!batch.selected(i)) continue;
-    const size_t row = static_cast<size_t>(i);
-    if (const Row* stored = aux.Find(batch.key_at(i))) {
-      b[row] = (*stored)[0];
-    } else if (payload.literal) {
-      b[row] = *payload.literal;
-    } else {
-      for (int c : payload.reads) {
-        narrow[static_cast<size_t>(c)] = batch.column(c)[row];
-      }
-      INVERDA_ASSIGN_OR_RETURN(
-          b[row], payload.fn->Eval(*payload.narrow_schema, narrow));
+  for (const std::vector<Value>* cell : cells) {
+    if (cell->size() != n) {
+      return Status::Internal("widen input column of " +
+                              std::to_string(cell->size()) +
+                              " values for a batch of " + std::to_string(n));
     }
+  }
+  if (aux.empty() && payload.literal != nullptr && !batch.has_selection()) {
+    return std::vector<Value>(n, *payload.literal);  // nothing stored
+  }
+  std::vector<Value> b(n);
+  const bool probe = !aux.empty();
+  // Only the `reads` cells of this buffer are ever written.
+  Row narrow(static_cast<size_t>(payload.narrow_schema->num_columns()));
+  for (size_t row = 0; row < n; ++row) {
+    if (!batch.selected(static_cast<int64_t>(row))) continue;
+    if (probe) {
+      if (const Row* stored = aux.Find(batch.key_at(static_cast<int64_t>(row)))) {
+        b[row] = (*stored)[0];
+        continue;
+      }
+    }
+    if (payload.literal != nullptr) {
+      b[row] = *payload.literal;
+      continue;
+    }
+    for (size_t i = 0; i < cells.size(); ++i) {
+      narrow[static_cast<size_t>(payload.reads[i])] = (*cells[i])[row];
+    }
+    INVERDA_ASSIGN_OR_RETURN(
+        b[row], payload.fn->Eval(*payload.narrow_schema, narrow));
   }
   return b;
 }

@@ -8,14 +8,19 @@
 
 namespace inverda {
 
-Status AccessBackend::ScanVersionBatch(TvId tv, RowBatch* out) {
+Status AccessBackend::ScanVersionBatch(TvId tv, RowBatch* out,
+                                       const std::vector<int>* columns) {
   // Generic bridge: collect row-at-a-time. AccessLayer overrides this with
   // the real batch path; the bridge serves capture shims and tests.
+  RowBatch full;
+  RowBatch* into = columns == nullptr ? out : &full;
   Status status = Status::OK();
   INVERDA_RETURN_IF_ERROR(ScanVersion(tv, [&](int64_t key, const Row& row) {
-    if (status.ok()) status = out->AppendRow(key, row);
+    if (status.ok()) status = into->AppendRow(key, row);
   }));
-  return status;
+  INVERDA_RETURN_IF_ERROR(status);
+  if (columns == nullptr) return Status::OK();
+  return out->AssignProjection(std::move(full), *columns);
 }
 
 Status Kernel::DeriveReadBatch(const SmoContext& ctx, SmoSide side, int which,
@@ -130,7 +135,10 @@ std::atomic<int64_t> g_parallel_scan_min_rows{4096};
 // merge into one ascending-key sequence, then scatter keys and cells into
 // the pre-grown batch in parallel row chunks. Produces byte-for-byte the
 // same batch as the sequential Scan/AppendRow path.
-Status ParallelBatchFromTable(const Table& table, RowBatch* out) {
+// With `columns`, (*columns)[c] is the table column copied into batch
+// column c.
+Status ParallelBatchFromTable(const Table& table, RowBatch* out,
+                              const std::vector<int>* columns) {
   ThreadPool& pool = ScanPool();
   const int shards = table.shard_count();
   std::vector<std::vector<std::pair<int64_t, const Row*>>> per_shard(
@@ -154,6 +162,7 @@ Status ParallelBatchFromTable(const Table& table, RowBatch* out) {
   const int64_t base = out->size();
   const int64_t n = static_cast<int64_t>(merged.size());
   INVERDA_RETURN_IF_ERROR(out->GrowRows(base + n));
+  const int width = table.schema().num_columns();
   const int cols = out->num_columns();
   std::atomic<bool> width_ok{true};
   constexpr int64_t kChunk = 2048;
@@ -163,19 +172,21 @@ Status ParallelBatchFromTable(const Table& table, RowBatch* out) {
     const int64_t hi = std::min(n, lo + kChunk);
     for (int64_t i = lo; i < hi; ++i) {
       const auto& [key, row] = merged[static_cast<size_t>(i)];
-      if (static_cast<int>(row->size()) != cols) {
+      if (static_cast<int>(row->size()) != width) {
         width_ok.store(false, std::memory_order_relaxed);
         return;
       }
       out->set_key(base + i, key);
       for (int col = 0; col < cols; ++col) {
+        const int from =
+            columns == nullptr ? col : (*columns)[static_cast<size_t>(col)];
         out->column(col)[static_cast<size_t>(base + i)] =
-            (*row)[static_cast<size_t>(col)];
+            (*row)[static_cast<size_t>(from)];
       }
     }
   });
   if (!width_ok.load(std::memory_order_relaxed)) {
-    return Status::Internal("batch row width != " + std::to_string(cols));
+    return Status::Internal("batch row width != " + std::to_string(width));
   }
   return Status::OK();
 }
@@ -196,16 +207,29 @@ bool ParallelScanEligible(const Table& table) {
          table.size() >= ParallelScanMinRows();
 }
 
-Status BatchFromTable(const Table& table, RowBatch* out) {
-  INVERDA_RETURN_IF_ERROR(
-      out->SetNumColumns(table.schema().num_columns()));
+Status BatchFromTable(const Table& table, RowBatch* out,
+                      const std::vector<int>* columns) {
+  const int width = table.schema().num_columns();
+  if (columns != nullptr) {
+    for (int c : *columns) {
+      if (c < 0 || c >= width) {
+        return Status::Internal("scan column " + std::to_string(c) +
+                                " out of range for width " +
+                                std::to_string(width));
+      }
+    }
+  }
+  INVERDA_RETURN_IF_ERROR(out->SetNumColumns(
+      columns == nullptr ? width : static_cast<int>(columns->size())));
   if (ParallelScanEligible(table) && !out->has_selection()) {
-    return ParallelBatchFromTable(table, out);
+    return ParallelBatchFromTable(table, out, columns);
   }
   out->Reserve(out->size() + table.size());
   Status status = Status::OK();
   table.Scan([&](int64_t key, const Row& row) {
-    if (status.ok()) status = out->AppendRow(key, row);
+    if (!status.ok()) return;
+    status = columns == nullptr ? out->AppendRow(key, row)
+                                : out->AppendProjected(key, row, *columns);
   });
   return status;
 }

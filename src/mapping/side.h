@@ -34,12 +34,15 @@ class AccessBackend {
   /// Streams all rows of table version `tv`.
   virtual Status ScanVersion(TvId tv, const RowCallback& fn) = 0;
 
-  /// Scans all rows of table version `tv` into a columnar batch. The
-  /// default bridges through ScanVersion row-at-a-time; AccessLayer
+  /// Scans all rows of table version `tv` into a columnar batch. With
+  /// `columns`, the batch holds only those payload columns, in that order
+  /// (distinct, in range); a physical table then copies only their cells.
+  /// The default bridges through ScanVersion row-at-a-time; AccessLayer
   /// overrides it with the batch execution path (physical tables fill the
   /// batch directly, virtual versions derive through the kernels' batch
   /// entry points).
-  virtual Status ScanVersionBatch(TvId tv, RowBatch* out);
+  virtual Status ScanVersionBatch(TvId tv, RowBatch* out,
+                                  const std::vector<int>* columns = nullptr);
 
   /// Looks up one row of table version `tv` by key.
   virtual Result<std::optional<Row>> FindVersion(TvId tv, int64_t key) = 0;
@@ -167,7 +170,7 @@ class Kernel {
   /// inner table version (identity and column mappings): deriving a row
   /// never consults other rows, never filters, and never generates ids.
   /// Such steps are eligible for plan fusion (plan::FuseSteps) — adjacent
-  /// projection-only hops collapse into one composed column program.
+  /// projection-only hops collapse into one compiled column layout.
   virtual bool ProjectionOnly() const { return false; }
 
   /// Derives the content of the `which`-th data table on side `side` (the
@@ -247,7 +250,9 @@ Result<RowMap> CollectVersion(AccessBackend* backend, TvId tv);
 /// BatchFromTable appends the rows in ascending key order; on a sharded
 /// table large enough to amortize the fan-out (ParallelScanEligible) the
 /// fill runs shard-parallel over the ScanPool() — same output, same order.
-Status BatchFromTable(const Table& table, RowBatch* out);
+/// With `columns` only those payload columns are copied, in that order.
+Status BatchFromTable(const Table& table, RowBatch* out,
+                      const std::vector<int>* columns = nullptr);
 Status BatchToTable(const RowBatch& batch, Table* out);
 
 /// True when BatchFromTable would take the shard-parallel path for

@@ -361,6 +361,7 @@ Status MigrationCoordinator::CopyPhase() {
     std::vector<int64_t> keys;
     {
       std::shared_lock<std::shared_mutex> ddl(owner_->catalog_mu_);
+      AccessLayer::CacheBypass uncached;
       INVERDA_RETURN_IF_ERROR(owner_->access_.ScanVersion(
           e->tv, [&keys](int64_t key, const Row&) { keys.push_back(key); }));
     }
@@ -542,6 +543,7 @@ Status MigrationCoordinator::DeriveKeysLocked(StagedEntry* e,
                                               DerivedRows* out) {
   out->clear();
   out->reserve(keys.size());
+  AccessLayer::CacheBypass uncached;
   for (int64_t key : keys) {
     INVERDA_ASSIGN_OR_RETURN(std::optional<Row> row,
                              owner_->access_.FindVersion(e->tv, key));
@@ -601,6 +603,7 @@ Status MigrationCoordinator::RefreshEntry(StagedEntry* e, bool exclusive_held,
     return Status::OK();  // still fresh
   }
   Table fresh(e->content.schema(), owner_->db_.shards());
+  AccessLayer::CacheBypass uncached;
   auto derive = [&]() -> Status {
     if (e->tv >= 0) {
       // Non-key-stable data table: re-derive the whole view through the

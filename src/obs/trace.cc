@@ -65,7 +65,7 @@ std::string TraceSpan::ToJson() const {
       out += "{\"kernel\":\"" + JsonEscape(fused_hops[i].first) +
              "\",\"smo_text\":\"" + JsonEscape(fused_hops[i].second) + "\"}";
     }
-    out += "]";
+    out += "],\"fused_layout\":\"" + JsonEscape(fused_layout) + "\"";
   }
   if (!note.empty()) out += ",\"note\":\"" + JsonEscape(note) + "\"";
   out += ",\"rows_in\":" + std::to_string(rows_in) +

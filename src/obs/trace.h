@@ -39,10 +39,12 @@ struct TraceSpan {
   std::vector<std::pair<std::string, std::string>> aux;  // short -> physical
 
   // Fusion (plan/fused.h): number of SMO hops a fused step stands for
-  // (0 on ordinary steps) and the per-hop kernel name + BiDEL text, in
-  // plan order, so RenderTrace prints the same fused[k] block as EXPLAIN.
+  // (0 on ordinary steps), the per-hop kernel name + BiDEL text, in plan
+  // order, and the layout summary (ColumnLayout::Summary), so RenderTrace
+  // prints the same fused[k] block as EXPLAIN.
   int fused = 0;
   std::vector<std::pair<std::string, std::string>> fused_hops;
+  std::string fused_layout;
 
   std::string note;  // free-form marker, e.g. "view-cache hit"
 

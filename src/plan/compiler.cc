@@ -186,57 +186,47 @@ void PlanCompiler::ApplyFusionMutation(TvPlan* compiled) const {
   FusionMutation mutation = fusion_mutation_.load(std::memory_order_relaxed);
   if (mutation == FusionMutation::kNone) return;
   for (PlanStep& step : compiled->steps) {
-    if (!step.is_fused() || step.program == nullptr) continue;
-    auto corrupted = std::make_shared<ColumnProgram>(*step.program);
-    // Programs without ops (pure identity elision) have no op to corrupt;
-    // skewing the inner width is the equivalent observable miscompile.
+    if (!step.is_fused() || step.layout == nullptr) continue;
+    auto corrupted = std::make_shared<ColumnLayout>(*step.layout);
+    // A layout without the corrupted part (no widens, a single column)
+    // gets the equivalent observable miscompile: a skewed inner width.
+    bool applied = false;
     switch (mutation) {
-      case FusionMutation::kDropOp:
-        if (!corrupted->ops.empty()) {
-          corrupted->ops.pop_back();
-        } else {
-          ++corrupted->inner_width;
+      case FusionMutation::kDropWiden:
+        if (!corrupted->widens.empty()) {
+          corrupted->widens.pop_back();
+          applied = true;
         }
         break;
-      case FusionMutation::kFlipKind:
-        if (!corrupted->ops.empty()) {
-          ColumnOp& op = corrupted->ops.front();
-          op.kind = op.kind == ColumnOp::Kind::kNarrow
-                        ? ColumnOp::Kind::kWiden
-                        : ColumnOp::Kind::kNarrow;
-        } else {
-          ++corrupted->inner_width;
+      case FusionMutation::kDropInnerRead:
+        if (!corrupted->inner_reads.empty()) {
+          corrupted->inner_reads.erase(corrupted->inner_reads.begin());
+          applied = true;
         }
         break;
-      case FusionMutation::kPerturbIndex:
-        if (!corrupted->ops.empty()) {
-          ++corrupted->ops.front().index;
-        } else {
-          ++corrupted->inner_width;
+      case FusionMutation::kPerturbInnerRead:
+        if (!corrupted->inner_reads.empty()) {
+          ++corrupted->inner_reads.front();
+          applied = true;
         }
         break;
-      case FusionMutation::kWrongAux: {
-        bool applied = false;
-        for (ColumnOp& op : corrupted->ops) {
-          if (op.kind == ColumnOp::Kind::kWiden) {
-            op.aux_table += "_corrupt";
-            applied = true;
-            break;
-          }
-        }
-        if (!applied) {
-          if (!corrupted->ops.empty()) {
-            ++corrupted->ops.front().index;
-          } else {
-            ++corrupted->inner_width;
-          }
+      case FusionMutation::kWrongAux:
+        if (!corrupted->widens.empty()) {
+          corrupted->widens.front().aux_table += "_corrupt";
+          applied = true;
         }
         break;
-      }
+      case FusionMutation::kWrongSource:
+        if (corrupted->output.size() >= 2) {
+          std::swap(corrupted->output[0], corrupted->output[1]);
+          applied = true;
+        }
+        break;
       case FusionMutation::kNone:
         break;
     }
-    step.program = std::move(corrupted);
+    if (!applied) ++corrupted->inner_width;
+    step.layout = std::move(corrupted);
     return;  // the self-test corrupts the first fused step only
   }
 }

@@ -16,15 +16,16 @@ namespace inverda {
 namespace plan {
 
 /// Intentional fusion-miscompile modes for the verifier's mutation
-/// self-test: each corrupts the composed ColumnProgram of the first fused
-/// step of every subsequent Compile in a distinct way, proving the
-/// translation validator — not the runtime tests — catches the bug.
+/// self-test: each corrupts the ColumnLayout of the first fused step of
+/// every subsequent Compile in a distinct way, proving the translation
+/// validator — not the runtime tests — catches the bug.
 enum class FusionMutation {
-  kNone,          ///< disarmed (production state)
-  kDropOp,        ///< drop the last composed column op
-  kFlipKind,      ///< flip the first op narrow <-> widen
-  kPerturbIndex,  ///< shift the first op's column index by one
-  kWrongAux,      ///< point the first widen at a non-existent aux table
+  kNone,             ///< disarmed (production state)
+  kDropWiden,        ///< drop the last built widen
+  kDropInnerRead,    ///< drop the first inner column the scan reads
+  kPerturbInnerRead, ///< shift the first inner column read by one
+  kWrongAux,         ///< point the first widen at a non-existent aux table
+  kWrongSource,      ///< swap the sources of the first two output columns
 };
 
 /// Compiles access plans from the catalog: the one place the genealogy is
@@ -74,7 +75,7 @@ class PlanCompiler {
   /// Opt-in post-compile verification gate (default off): when enabled,
   /// every fused step of a compiled plan is translation-validated
   /// (verify::ValidateFusedStep) before the plan leaves the compiler. A
-  /// step whose composed program is not provably equivalent to its unfused
+  /// step whose column layout is not provably equivalent to its unfused
   /// kernel chain is spliced back into the original hops — graceful
   /// unfused fallback instead of a silent miscompile — and the diagnostics
   /// are retained (TakeVerifyDiagnostics). Callers owning a plan cache

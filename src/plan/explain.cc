@@ -2,6 +2,8 @@
 
 #include <vector>
 
+#include "plan/fused.h"
+
 namespace inverda {
 namespace plan {
 
@@ -19,10 +21,11 @@ struct StepView {
   int index = 0;
   std::string kernel;
   std::vector<std::pair<std::string, std::string>> aux;  // short -> physical
-  // Fusion: SMO hops this step stands for (0 = ordinary step) and the
-  // per-hop kernel name + BiDEL text, in plan order.
+  // Fusion: SMO hops this step stands for (0 = ordinary step), the
+  // per-hop kernel name + BiDEL text, in plan order, and the layout summary.
   int fused = 0;
   std::vector<std::pair<std::string, std::string>> fused_hops;
+  std::string fused_layout;
 };
 
 void AppendStep(std::string* out, const StepView& v) {
@@ -39,6 +42,7 @@ void AppendStep(std::string* out, const StepView& v) {
     if (hop_kernel == "identity") *out += " (elided)";
     *out += "\n";
   }
+  if (v.fused > 0) *out += "          layout: " + v.fused_layout + "\n";
   for (const auto& [short_name, physical_name] : v.aux) {
     *out += "          aux " + short_name + " -> " + physical_name + "\n";
   }
@@ -60,6 +64,7 @@ StepView ViewOf(int number, const PlanStep& step) {
     for (const PlanStep& sub : step.fused) {
       v.fused_hops.emplace_back(sub.kernel->name(), sub.smo_text);
     }
+    v.fused_layout = step.layout->Summary();
   }
   return v;
 }
@@ -75,6 +80,7 @@ StepView ViewOf(int number, const obs::TraceSpan& span) {
   v.aux = span.aux;
   v.fused = span.fused;
   v.fused_hops = span.fused_hops;
+  v.fused_layout = span.fused_layout;
   return v;
 }
 

@@ -1,6 +1,7 @@
 #include "plan/fused.h"
 
 #include <cstring>
+#include <string>
 #include <memory>
 #include <utility>
 
@@ -28,35 +29,108 @@ bool IsIdentity(const PlanStep& step) {
   return std::strcmp(step.kernel->name(), "identity") == 0;
 }
 
-/// The composed program of one run (plan order: planned version first).
-Result<ColumnProgram> BuildColumnProgram(const std::vector<PlanStep>& run) {
-  ColumnProgram program;
+/// Compiles the output layout of one run (plan order: planned version
+/// first). One symbolic pass applies the hops inner -> planned to a list
+/// of column sources; a liveness pass (planned -> inner) then keeps the
+/// inner columns and widens that the output or a kept widen reads, plus
+/// every non-literal widen, and renumbers what survives.
+Result<ColumnLayout> BuildColumnLayout(const std::vector<PlanStep>& run) {
+  ColumnLayout layout;
   const PlanStep& innermost = run.back();
   SmoSide inner_side = innermost.side == SmoSide::kSource ? SmoSide::kTarget
                                                           : SmoSide::kSource;
-  program.inner_width =
+  layout.inner_width =
       innermost.ctx.side(inner_side)[0].schema->num_columns();
-  // Data flows inner -> planned, so ops compose in reverse plan order.
+  // Sources over the full inner payload (kInner index = inner position)
+  // and over every widen of the run (kWiden index = program position).
+  std::vector<ColumnSource> cols(static_cast<size_t>(layout.inner_width));
+  for (int i = 0; i < layout.inner_width; ++i) {
+    cols[static_cast<size_t>(i)].index = i;
+  }
+  std::vector<WidenBuild> widens;
+  // Data flows inner -> planned, so hops apply in reverse plan order.
   for (auto it = run.rbegin(); it != run.rend(); ++it) {
-    if (IsIdentity(*it)) continue;  // pure passthrough: no op
+    if (IsIdentity(*it)) continue;  // pure passthrough
     INVERDA_ASSIGN_OR_RETURN(ColumnHopInfo hop,
                              ResolveColumnHop(it->ctx, it->side));
-    ColumnOp op;
-    op.index = hop.b_index;
-    if (hop.widen) {
-      op.kind = ColumnOp::Kind::kWiden;
-      op.aux_table = std::move(hop.aux_b);
-      op.payload = std::move(hop.payload);
-    } else {
-      op.kind = ColumnOp::Kind::kNarrow;
+    const size_t width = cols.size();
+    if (!hop.widen) {
+      if (hop.b_index < 0 || static_cast<size_t>(hop.b_index) >= width) {
+        return Status::Internal("narrow of column " +
+                                std::to_string(hop.b_index) + " at width " +
+                                std::to_string(width));
+      }
+      cols.erase(cols.begin() + hop.b_index);
+      continue;
     }
-    program.ops.push_back(std::move(op));
+    if (hop.b_index < 0 || static_cast<size_t>(hop.b_index) > width ||
+        hop.payload.narrow_schema->num_columns() != static_cast<int>(width)) {
+      return Status::Internal("widen of " + it->smo_text + " at width " +
+                              std::to_string(width));
+    }
+    WidenBuild widen;
+    widen.aux_table = std::move(hop.aux_b);
+    widen.payload = std::move(hop.payload);
+    for (int r : widen.payload.reads) {
+      widen.reads.push_back(cols[static_cast<size_t>(r)]);
+    }
+    cols.insert(cols.begin() + hop.b_index,
+                ColumnSource{ColumnSource::Kind::kWiden,
+                             static_cast<int>(widens.size())});
+    widens.push_back(std::move(widen));
   }
-  return program;
+
+  // Liveness: a consumer of widen j is the output or a widen after j, so
+  // one reverse pass settles every widen before its own reads are marked.
+  std::vector<bool> inner_live(static_cast<size_t>(layout.inner_width));
+  std::vector<bool> widen_live(widens.size());
+  auto mark = [&](const ColumnSource& src) {
+    if (src.kind == ColumnSource::Kind::kInner) {
+      inner_live[static_cast<size_t>(src.index)] = true;
+    } else {
+      widen_live[static_cast<size_t>(src.index)] = true;
+    }
+  };
+  for (const ColumnSource& src : cols) mark(src);
+  std::vector<bool> built(widens.size());
+  for (size_t j = widens.size(); j-- > 0;) {
+    built[j] = widen_live[j] || widens[j].payload.literal == nullptr;
+    if (!built[j]) continue;
+    for (const ColumnSource& src : widens[j].reads) mark(src);
+  }
+
+  // Renumber into the compact layout.
+  std::vector<int> inner_at(static_cast<size_t>(layout.inner_width), -1);
+  for (int i = 0; i < layout.inner_width; ++i) {
+    if (!inner_live[static_cast<size_t>(i)]) continue;
+    inner_at[static_cast<size_t>(i)] =
+        static_cast<int>(layout.inner_reads.size());
+    layout.inner_reads.push_back(i);
+  }
+  std::vector<int> widen_at(widens.size(), -1);
+  auto remap = [&](ColumnSource src) {
+    src.index = src.kind == ColumnSource::Kind::kInner
+                    ? inner_at[static_cast<size_t>(src.index)]
+                    : widen_at[static_cast<size_t>(src.index)];
+    return src;
+  };
+  for (size_t j = 0; j < widens.size(); ++j) {
+    if (!built[j]) {
+      ++layout.dead_dropped;
+      continue;
+    }
+    WidenBuild widen = std::move(widens[j]);
+    for (ColumnSource& src : widen.reads) src = remap(src);
+    widen.dead = !widen_live[j];
+    widen_at[j] = static_cast<int>(layout.widens.size());
+    layout.widens.push_back(std::move(widen));
+  }
+  for (const ColumnSource& src : cols) layout.output.push_back(remap(src));
+  return layout;
 }
 
 Result<PlanStep> MakeFusedStep(std::vector<PlanStep> run) {
-  INVERDA_ASSIGN_OR_RETURN(ColumnProgram program, BuildColumnProgram(run));
+  INVERDA_ASSIGN_OR_RETURN(ColumnLayout layout, BuildColumnLayout(run));
   PlanStep fused;
   fused.smo = run.front().smo;
   fused.route = run.front().route;
@@ -66,52 +140,9 @@ Result<PlanStep> MakeFusedStep(std::vector<PlanStep> run) {
   fused.ctx = run.front().ctx;
   fused.smo_text = run.front().smo_text;
   fused.next = run.back().next;
-  fused.program = std::make_shared<const ColumnProgram>(std::move(program));
+  fused.layout = std::make_shared<const ColumnLayout>(std::move(layout));
   fused.fused = std::move(run);
   return fused;
-}
-
-/// Applies the composed program to one row-major tuple (point reads).
-Status ApplyProgramRow(const ColumnProgram& program, AccessBackend& backend,
-                       int64_t key, Row* row) {
-  for (const ColumnOp& op : program.ops) {
-    if (op.kind == ColumnOp::Kind::kNarrow) {
-      row->erase(row->begin() + static_cast<Row::difference_type>(op.index));
-      continue;
-    }
-    INVERDA_ASSIGN_OR_RETURN(Table * aux, backend.db().GetTable(op.aux_table));
-    Value b;
-    if (const Row* stored = aux->Find(key)) {
-      b = (*stored)[0];
-    } else if (op.payload.literal) {
-      b = *op.payload.literal;
-    } else {
-      INVERDA_ASSIGN_OR_RETURN(
-          b, op.payload.fn->Eval(*op.payload.narrow_schema, *row));
-    }
-    row->insert(row->begin() + static_cast<Row::difference_type>(op.index),
-                std::move(b));
-  }
-  return Status::OK();
-}
-
-/// Applies the composed program to a whole batch: narrowing is one column
-/// erase, widening one column build (BuildWidenColumn: aux lookup per row,
-/// then a literal copy or an Eval over the cells the function reads) and
-/// one column insert. No row is ever gathered whole.
-Status ApplyProgramBatch(const ColumnProgram& program, AccessBackend& backend,
-                         RowBatch* batch) {
-  for (const ColumnOp& op : program.ops) {
-    if (op.kind == ColumnOp::Kind::kNarrow) {
-      batch->RemoveColumn(op.index);
-      continue;
-    }
-    INVERDA_ASSIGN_OR_RETURN(Table * aux, backend.db().GetTable(op.aux_table));
-    INVERDA_ASSIGN_OR_RETURN(std::vector<Value> b,
-                             BuildWidenColumn(*batch, *aux, op.payload));
-    INVERDA_RETURN_IF_ERROR(batch->InsertColumn(op.index, std::move(b)));
-  }
-  return Status::OK();
 }
 
 /// Backend shim for the fused write path: ApplyToVersion calls aimed at
@@ -126,8 +157,9 @@ class CapturingBackend : public AccessBackend {
   Status ScanVersion(TvId tv, const RowCallback& fn) override {
     return real_->ScanVersion(tv, fn);
   }
-  Status ScanVersionBatch(TvId tv, RowBatch* out) override {
-    return real_->ScanVersionBatch(tv, out);
+  Status ScanVersionBatch(TvId tv, RowBatch* out,
+                          const std::vector<int>* columns) override {
+    return real_->ScanVersionBatch(tv, out, columns);
   }
   Result<std::optional<Row>> FindVersion(TvId tv, int64_t key) override {
     return real_->FindVersion(tv, key);
@@ -148,6 +180,13 @@ class CapturingBackend : public AccessBackend {
 };
 
 }  // namespace
+
+std::string ColumnLayout::Summary() const {
+  return "reads " + std::to_string(inner_reads.size()) + "/" +
+         std::to_string(inner_width) + " inner columns, builds " +
+         std::to_string(widens.size()) + " widens (" +
+         std::to_string(dead_dropped) + " dead dropped)";
+}
 
 const Kernel* FusedColumnMarker() {
   static const FusedColumnKernel* kernel = new FusedColumnKernel();
@@ -192,29 +231,105 @@ std::vector<PlanStep> FuseSteps(std::vector<PlanStep> steps) {
 
 Status FusedDerive(const PlanStep& step, std::optional<int64_t> key,
                    Table* out) {
-  AccessBackend* backend = step.ctx.backend;
-  if (key) {
-    INVERDA_ASSIGN_OR_RETURN(std::optional<Row> row,
-                             backend->FindVersion(step.next, *key));
-    if (!row) return Status::OK();
-    INVERDA_RETURN_IF_ERROR(
-        ApplyProgramRow(*step.program, *backend, *key, &*row));
-    return out->Upsert(*key, std::move(*row));
+  if (!key) {
+    RowBatch batch;
+    INVERDA_RETURN_IF_ERROR(FusedDeriveBatch(step, &batch));
+    return BatchToTable(batch, out);
   }
-  RowBatch batch;
-  INVERDA_RETURN_IF_ERROR(FusedDeriveBatch(step, &batch));
-  return BatchToTable(batch, out);
+  const ColumnLayout& layout = *step.layout;
+  AccessBackend* backend = step.ctx.backend;
+  INVERDA_ASSIGN_OR_RETURN(std::optional<Row> inner,
+                           backend->FindVersion(step.next, *key));
+  if (!inner) return Status::OK();
+  if (static_cast<int>(inner->size()) != layout.inner_width) {
+    return Status::Internal("fused inner row width " +
+                            std::to_string(inner->size()) + " != " +
+                            std::to_string(layout.inner_width));
+  }
+  std::vector<Value> built(layout.widens.size());
+  auto cell = [&](const ColumnSource& src) -> Value& {
+    return src.kind == ColumnSource::Kind::kInner
+               ? (*inner)[static_cast<size_t>(
+                     layout.inner_reads[static_cast<size_t>(src.index)])]
+               : built[static_cast<size_t>(src.index)];
+  };
+  for (size_t j = 0; j < layout.widens.size(); ++j) {
+    const WidenBuild& widen = layout.widens[j];
+    INVERDA_ASSIGN_OR_RETURN(Table * aux,
+                             backend->db().GetTable(widen.aux_table));
+    if (const Row* stored = aux->Find(*key)) {
+      built[j] = (*stored)[0];
+    } else if (widen.payload.literal != nullptr) {
+      built[j] = *widen.payload.literal;
+    } else {
+      Row narrow(
+          static_cast<size_t>(widen.payload.narrow_schema->num_columns()));
+      for (size_t i = 0; i < widen.reads.size(); ++i) {
+        narrow[static_cast<size_t>(widen.payload.reads[i])] =
+            cell(widen.reads[i]);
+      }
+      INVERDA_ASSIGN_OR_RETURN(
+          built[j], widen.payload.fn->Eval(*widen.payload.narrow_schema,
+                                           narrow));
+    }
+  }
+  Row row;
+  row.reserve(layout.output.size());
+  for (const ColumnSource& src : layout.output) {
+    row.push_back(std::move(cell(src)));
+  }
+  return out->Upsert(*key, std::move(row));
 }
 
 Status FusedDeriveBatch(const PlanStep& step, RowBatch* out) {
+  const ColumnLayout& layout = *step.layout;
   AccessBackend* backend = step.ctx.backend;
   // The inner chain may itself pass through width-changing hops, so the
-  // batch must enter the scan width-unset; the post-scan call fixes the
-  // width of an empty scan and rejects a mis-shaped inner result before
-  // the column program indexes into it.
-  INVERDA_RETURN_IF_ERROR(backend->ScanVersionBatch(step.next, out));
-  INVERDA_RETURN_IF_ERROR(out->SetNumColumns(step.program->inner_width));
-  return ApplyProgramBatch(*step.program, *backend, out);
+  // batch enters the scan width-unset; the post-scan call fixes the width
+  // of an empty scan and rejects a mis-shaped result before any widen
+  // indexes into it.
+  RowBatch inner;
+  INVERDA_RETURN_IF_ERROR(
+      backend->ScanVersionBatch(step.next, &inner, &layout.inner_reads));
+  const int kept = static_cast<int>(layout.inner_reads.size());
+  INVERDA_RETURN_IF_ERROR(inner.SetNumColumns(kept));
+  // Kept widens are appended after the inner columns as they are built,
+  // so an output source resolves to one column of `inner`; a dead widen's
+  // column is only built for its Status and then dropped.
+  std::vector<int> widen_column(layout.widens.size(), -1);
+  auto column_of = [&](const ColumnSource& src) {
+    return src.kind == ColumnSource::Kind::kInner
+               ? src.index
+               : widen_column[static_cast<size_t>(src.index)];
+  };
+  for (size_t j = 0; j < layout.widens.size(); ++j) {
+    const WidenBuild& widen = layout.widens[j];
+    std::vector<const std::vector<Value>*> cells;
+    cells.reserve(widen.reads.size());
+    for (const ColumnSource& src : widen.reads) {
+      const int c = column_of(src);
+      if (c < 0 || c >= inner.num_columns()) {
+        return Status::Internal("widen " + std::to_string(j) +
+                                " reads an unbuilt column");
+      }
+      cells.push_back(&inner.column(c));
+    }
+    INVERDA_ASSIGN_OR_RETURN(Table * aux,
+                             backend->db().GetTable(widen.aux_table));
+    INVERDA_ASSIGN_OR_RETURN(std::vector<Value> b,
+                             BuildWidenColumn(inner, cells, *aux,
+                                              widen.payload));
+    if (widen.dead) continue;
+    widen_column[j] = inner.num_columns();
+    INVERDA_RETURN_IF_ERROR(
+        inner.InsertColumn(inner.num_columns(), std::move(b)));
+  }
+  std::vector<int> columns;
+  columns.reserve(layout.output.size());
+  for (const ColumnSource& src : layout.output) {
+    columns.push_back(column_of(src));
+  }
+  return out->AssignProjection(std::move(inner), columns);
 }
 
 Status FusedPropagate(const PlanStep& step, const WriteSet& writes) {

@@ -33,7 +33,7 @@ enum class RouteCase {
 /// instance, the side/index the version occupies, the mapping kernel, and
 /// a fully pre-bound SmoContext (TvRefs, physical aux-table names, id
 /// memo, backend). Executing a step performs no catalog lookups.
-struct ColumnProgram;  // plan/fused.h
+struct ColumnLayout;  // plan/fused.h
 
 struct PlanStep {
   SmoId smo = -1;
@@ -51,10 +51,10 @@ struct PlanStep {
 
   /// Fusion (plan/fused.h): a fused step replaces a maximal run of
   /// projection-only hops. `fused` holds the original steps in plan order
-  /// (planned version first), `program` the composed column program that
-  /// executes the whole run in one pass. Empty on ordinary steps.
+  /// (planned version first), `layout` the run's compiled output layout
+  /// that executes the whole run in one pass. Empty on ordinary steps.
   std::vector<PlanStep> fused;
-  std::shared_ptr<const ColumnProgram> program;
+  std::shared_ptr<const ColumnLayout> layout;
 
   bool is_fused() const { return !fused.empty(); }
 
@@ -65,11 +65,11 @@ struct PlanStep {
 
   /// Derives the planned version's content into `out` (restricted to `key`
   /// if given) — the read entry point that skips per-call context assembly.
-  /// Fused steps run their composed program off one inner access.
+  /// Fused steps run their output layout off one inner access.
   Status Derive(std::optional<int64_t> key, Table* out) const;
 
   /// Batch read: derives the full planned version into a columnar batch,
-  /// through the kernel's batch entry point (or the fused program).
+  /// through the kernel's batch entry point (or the fused layout).
   Status DeriveBatch(RowBatch* out) const;
 
   /// Propagates `writes` issued against the planned version one hop toward

@@ -79,6 +79,24 @@ Status RowBatch::AppendRow(int64_t key, Row&& row) {
   return Status::OK();
 }
 
+Status RowBatch::AppendProjected(int64_t key, const Row& row,
+                                 const std::vector<int>& indexes) {
+  INVERDA_RETURN_IF_ERROR(SetNumColumns(static_cast<int>(indexes.size())));
+  for (int index : indexes) {
+    if (index < 0 || static_cast<size_t>(index) >= row.size()) {
+      return Status::Internal("projected cell " + std::to_string(index) +
+                              " outside a row of " +
+                              std::to_string(row.size()));
+    }
+  }
+  keys_.push_back(key);
+  for (size_t c = 0; c < indexes.size(); ++c) {
+    columns_[c].push_back(row[static_cast<size_t>(indexes[c])]);
+  }
+  if (!selected_.empty()) selected_.push_back(1);
+  return Status::OK();
+}
+
 Row RowBatch::RowAt(int64_t i) const {
   Row out;
   out.reserve(columns_.size());
@@ -111,23 +129,41 @@ Status RowBatch::InsertColumn(int index, std::vector<Value> values) {
   return Status::OK();
 }
 
-Status RowBatch::AssignProjection(RowBatch&& src,
-                                  const std::vector<int>& indexes) {
+Status RowBatch::PrepareProjection(const RowBatch& src,
+                                   const std::vector<int>& indexes) {
   if (!empty()) {
     return Status::Internal("projection into a non-empty batch");
   }
   INVERDA_RETURN_IF_ERROR(SetNumColumns(static_cast<int>(indexes.size())));
-  for (size_t i = 0; i < indexes.size(); ++i) {
-    if (indexes[i] < 0 || indexes[i] >= src.num_columns()) {
-      return Status::Internal("projection index " +
-                              std::to_string(indexes[i]) +
+  for (int index : indexes) {
+    if (index < 0 || index >= src.num_columns()) {
+      return Status::Internal("projection index " + std::to_string(index) +
                               " out of range for width " +
                               std::to_string(src.num_columns()));
     }
+  }
+  return Status::OK();
+}
+
+Status RowBatch::AssignProjection(RowBatch&& src,
+                                  const std::vector<int>& indexes) {
+  INVERDA_RETURN_IF_ERROR(PrepareProjection(src, indexes));
+  for (size_t i = 0; i < indexes.size(); ++i) {
     columns_[i] = std::move(src.columns_[static_cast<size_t>(indexes[i])]);
   }
   keys_ = std::move(src.keys_);
   selected_ = std::move(src.selected_);
+  return Status::OK();
+}
+
+Status RowBatch::AssignProjection(const RowBatch& src,
+                                  const std::vector<int>& indexes) {
+  INVERDA_RETURN_IF_ERROR(PrepareProjection(src, indexes));
+  for (size_t i = 0; i < indexes.size(); ++i) {
+    columns_[i] = src.columns_[static_cast<size_t>(indexes[i])];
+  }
+  keys_ = src.keys_;
+  selected_ = src.selected_;
   return Status::OK();
 }
 

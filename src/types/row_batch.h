@@ -61,6 +61,13 @@ class RowBatch {
   Status AppendRow(int64_t key, const Row& row);
   Status AppendRow(int64_t key, Row&& row);
 
+  /// Appends the cells of `row` at `indexes` (in order) as one keyed row:
+  /// a projected append that never copies the other cells. The batch
+  /// width must be unset or indexes.size(); fails on an index outside
+  /// `row`.
+  Status AppendProjected(int64_t key, const Row& row,
+                         const std::vector<int>& indexes);
+
   const std::vector<int64_t>& keys() const { return keys_; }
   int64_t key_at(int64_t i) const { return keys_[static_cast<size_t>(i)]; }
 
@@ -88,6 +95,10 @@ class RowBatch {
   /// or equal to indexes.size(). This is the whole-batch form of a
   /// projection: O(columns) vector moves, no per-row work.
   Status AssignProjection(RowBatch&& src, const std::vector<int>& indexes);
+
+  /// Copying form of AssignProjection: `src` is left untouched and only
+  /// the selected columns are copied.
+  Status AssignProjection(const RowBatch& src, const std::vector<int>& indexes);
 
   /// Stably sorts the rows by key, carrying columns and the selection
   /// bitmap along. Batch producers that append out-of-order tail rows
@@ -117,6 +128,10 @@ class RowBatch {
   void ForEach(const std::function<void(int64_t, const Row&)>& fn) const;
 
  private:
+  // Shared checks of both AssignProjection forms; fixes the width.
+  Status PrepareProjection(const RowBatch& src,
+                           const std::vector<int>& indexes);
+
   int num_columns_ = -1;  // -1: not yet fixed
   std::vector<int64_t> keys_;
   std::vector<std::vector<Value>> columns_;  // [column][row]

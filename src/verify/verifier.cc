@@ -362,10 +362,10 @@ void CheckHopObligations(const VersionCatalog& catalog,
 
 // --- fusion translation validation ------------------------------------------
 
-// One abstract column flowing through a composed program: either a column
-// of the inner boundary payload or a value widened in by an aux/function
-// channel. Two programs are column-wise equivalent iff they map the inner
-// payload to the same sequence of these.
+// One abstract column flowing through a fused run: either a column of the
+// inner boundary payload or a value widened in by an aux/function channel.
+// A layout is column-wise equivalent to the unfused hops iff it maps the
+// inner payload to the same sequence of these.
 struct SymCol {
   bool widened = false;
   int inner_index = 0;  // !widened: position in the inner payload
@@ -394,6 +394,24 @@ std::string SymColsToString(const std::vector<SymCol>& cols) {
   return out + "]";
 }
 
+// One widen of the reference composition: the column it adds and, by
+// narrow position, the column each cell its payload function reads is.
+struct RefWiden {
+  SymCol col;
+  bool literal = false;
+  std::map<int, SymCol> reads;
+};
+
+SymCol WidenSym(const std::string& aux, const Expression* fn,
+                const TableSchema* narrow_schema) {
+  SymCol col;
+  col.widened = true;
+  col.aux = aux;
+  col.fn = fn;
+  col.narrow_schema = narrow_schema;
+  return col;
+}
+
 std::vector<SymCol> InnerColumns(int width) {
   std::vector<SymCol> cols(static_cast<size_t>(width));
   for (int i = 0; i < width; ++i) {
@@ -407,7 +425,8 @@ std::vector<SymCol> InnerColumns(int width) {
 AnalysisReport ValidateFusedStep(const plan::PlanStep& step,
                                  const std::string& plan_label) {
   AnalysisReport report;
-  if (!step.is_fused() || step.program == nullptr) return report;
+  if (!step.is_fused() || step.layout == nullptr) return report;
+  const plan::ColumnLayout& layout = *step.layout;
   const std::string where =
       "plan " + (plan_label.empty() ? "?" : plan_label) + ": fused[" +
       std::to_string(step.fused.size()) + "] " + step.smo_text;
@@ -422,9 +441,8 @@ AnalysisReport ValidateFusedStep(const plan::PlanStep& step,
   const plan::PlanStep& innermost = step.fused.back();
   const TableSchema* inner_schema =
       innermost.ctx.side(Opposite(innermost.side))[0].schema;
-  if (step.program->inner_width != inner_schema->num_columns()) {
-    mismatch("program inner width " +
-             std::to_string(step.program->inner_width) +
+  if (layout.inner_width != inner_schema->num_columns()) {
+    mismatch("layout inner width " + std::to_string(layout.inner_width) +
              " != inner payload width " +
              std::to_string(inner_schema->num_columns()));
     return report;
@@ -437,8 +455,10 @@ AnalysisReport ValidateFusedStep(const plan::PlanStep& step,
 
   // Reference composition: re-derive every hop's projection geometry from
   // the SMO descriptions (not from ResolveColumnHop, which the fusion pass
-  // itself used) and apply it to the abstract inner payload.
-  std::vector<SymCol> expected = InnerColumns(step.program->inner_width);
+  // itself used) and apply it to the abstract inner payload, recording
+  // each widen and the columns its payload function reads.
+  std::vector<SymCol> expected = InnerColumns(layout.inner_width);
+  std::vector<RefWiden> ref_widens;
   for (auto it = step.fused.rbegin(); it != step.fused.rend(); ++it) {
     const plan::PlanStep& sub = *it;
     const std::string kernel = sub.kernel->name();
@@ -461,19 +481,26 @@ AnalysisReport ValidateFusedStep(const plan::PlanStep& step,
                  " has no physical B aux; the run must not have fused");
         return report;
       }
-      if (g->b_index > static_cast<int>(expected.size())) {
+      if (g->b_index > static_cast<int>(expected.size()) ||
+          g->narrow->num_columns() != static_cast<int>(expected.size())) {
         mismatch("widen index " + std::to_string(g->b_index) +
                  " out of range for width " +
                  std::to_string(expected.size()));
         return report;
       }
-      SymCol widened;
-      widened.widened = true;
-      widened.aux = aux->second;
-      widened.fn = g->fn;
-      widened.narrow_schema = g->narrow;
-      expected.insert(
-          expected.begin() + static_cast<ptrdiff_t>(g->b_index), widened);
+      RefWiden widen;
+      widen.col = WidenSym(aux->second, g->fn, g->narrow);
+      widen.literal = g->fn->AsLiteral() != nullptr;
+      std::set<std::string> names;
+      g->fn->CollectColumns(&names);
+      for (const std::string& name : names) {
+        if (std::optional<int> idx = g->narrow->FindColumn(name)) {
+          widen.reads[*idx] = expected[static_cast<size_t>(*idx)];
+        }
+      }
+      expected.insert(expected.begin() + static_cast<ptrdiff_t>(g->b_index),
+                      widen.col);
+      ref_widens.push_back(std::move(widen));
     } else {
       if (g->b_index >= static_cast<int>(expected.size())) {
         mismatch("narrow index " + std::to_string(g->b_index) +
@@ -484,37 +511,6 @@ AnalysisReport ValidateFusedStep(const plan::PlanStep& step,
       expected.erase(expected.begin() + static_cast<ptrdiff_t>(g->b_index));
     }
   }
-
-  // Candidate composition: the compiled ColumnProgram, applied to the same
-  // abstract payload.
-  std::vector<SymCol> actual = InnerColumns(step.program->inner_width);
-  for (size_t i = 0; i < step.program->ops.size(); ++i) {
-    const plan::ColumnOp& op = step.program->ops[i];
-    if (op.kind == plan::ColumnOp::Kind::kNarrow) {
-      if (op.index < 0 || op.index >= static_cast<int>(actual.size())) {
-        mismatch("op " + std::to_string(i) + ": narrow index " +
-                 std::to_string(op.index) + " out of range for width " +
-                 std::to_string(actual.size()));
-        return report;
-      }
-      actual.erase(actual.begin() + static_cast<ptrdiff_t>(op.index));
-    } else {
-      if (op.index < 0 || op.index > static_cast<int>(actual.size())) {
-        mismatch("op " + std::to_string(i) + ": widen index " +
-                 std::to_string(op.index) + " out of range for width " +
-                 std::to_string(actual.size()));
-        return report;
-      }
-      SymCol widened;
-      widened.widened = true;
-      widened.aux = op.aux_table;
-      widened.fn = op.payload.fn;
-      widened.narrow_schema = op.payload.narrow_schema;
-      actual.insert(actual.begin() + static_cast<ptrdiff_t>(op.index),
-                    widened);
-    }
-  }
-
   const TableSchema* planned = PlannedRef(step.fused.front()).schema;
   if (static_cast<int>(expected.size()) != planned->num_columns()) {
     mismatch("reference composition yields width " +
@@ -522,11 +518,129 @@ AnalysisReport ValidateFusedStep(const plan::PlanStep& step,
              std::to_string(planned->num_columns()) + " columns");
     return report;
   }
+
+  // Candidate: the compiled layout. Its inner reads are a projection of
+  // the inner payload ...
+  for (size_t i = 0; i < layout.inner_reads.size(); ++i) {
+    const int c = layout.inner_reads[i];
+    if (c < 0 || c >= layout.inner_width ||
+        (i > 0 && c <= layout.inner_reads[i - 1])) {
+      mismatch("inner read " + std::to_string(i) + " (column " +
+               std::to_string(c) + ") is not an ascending inner column");
+      return report;
+    }
+  }
+  // ... its widens are the reference widens in program order, less
+  // dropped ones ...
+  std::vector<bool> ref_built(ref_widens.size());
+  size_t next = 0;
+  for (size_t r = 0; r < ref_widens.size(); ++r) {
+    if (next < layout.widens.size()) {
+      const plan::WidenBuild& w = layout.widens[next];
+      if (WidenSym(w.aux_table, w.payload.fn, w.payload.narrow_schema) ==
+          ref_widens[r].col) {
+        ref_built[r] = true;
+        ++next;
+      }
+    }
+  }
+  if (next != layout.widens.size()) {
+    const plan::WidenBuild& w = layout.widens[next];
+    mismatch("layout widen " + std::to_string(next) + " (aux=" +
+             w.aux_table + ") matches no widen of the run in program order");
+    return report;
+  }
+  // ... and every source resolves to the column the reference has there.
+  // A widen's reads may only name earlier widens; nothing may name a dead
+  // widen, whose column is discarded.
+  auto resolve = [&](const plan::ColumnSource& src,
+                     size_t widen_limit) -> std::optional<SymCol> {
+    if (src.kind == plan::ColumnSource::Kind::kInner) {
+      if (src.index < 0 ||
+          src.index >= static_cast<int>(layout.inner_reads.size())) {
+        return std::nullopt;
+      }
+      SymCol col;
+      col.inner_index = layout.inner_reads[static_cast<size_t>(src.index)];
+      return col;
+    }
+    if (src.index < 0 || static_cast<size_t>(src.index) >= widen_limit) {
+      return std::nullopt;
+    }
+    const plan::WidenBuild& w = layout.widens[static_cast<size_t>(src.index)];
+    if (w.dead) return std::nullopt;
+    return WidenSym(w.aux_table, w.payload.fn, w.payload.narrow_schema);
+  };
+  auto source_text = [](const plan::ColumnSource& src) {
+    return std::string(src.kind == plan::ColumnSource::Kind::kInner
+                           ? "inner#"
+                           : "widen#") +
+           std::to_string(src.index);
+  };
+  for (size_t j = 0, r = 0; j < layout.widens.size(); ++j, ++r) {
+    while (!ref_built[r]) ++r;
+    const plan::WidenBuild& w = layout.widens[j];
+    const RefWiden& ref = ref_widens[r];
+    if (w.reads.size() != w.payload.reads.size() ||
+        w.payload.reads.size() != ref.reads.size()) {
+      mismatch("layout widen " + std::to_string(j) + " maps " +
+               std::to_string(w.reads.size()) + " reads, its function reads " +
+               std::to_string(ref.reads.size()) + " columns");
+      return report;
+    }
+    for (size_t i = 0; i < w.reads.size(); ++i) {
+      auto want = ref.reads.find(w.payload.reads[i]);
+      std::optional<SymCol> got = resolve(w.reads[i], j);
+      if (want == ref.reads.end() || !got || !(*got == want->second)) {
+        mismatch("layout widen " + std::to_string(j) + " (aux=" +
+                 w.aux_table + ") reads narrow column " +
+                 std::to_string(w.payload.reads[i]) + " from " +
+                 source_text(w.reads[i]) + ", the kernels read " +
+                 (want == ref.reads.end() ? std::string("no such column")
+                                          : want->second.ToString()));
+        return report;
+      }
+    }
+  }
+  if (layout.output.size() != expected.size()) {
+    mismatch("layout yields width " + std::to_string(layout.output.size()) +
+             ", kernels yield " + std::to_string(expected.size()));
+    return report;
+  }
+  std::vector<SymCol> actual;
+  for (size_t i = 0; i < layout.output.size(); ++i) {
+    std::optional<SymCol> got = resolve(layout.output[i], layout.widens.size());
+    if (!got) {
+      mismatch("output column " + std::to_string(i) + " names " +
+               source_text(layout.output[i]) +
+               ", which the layout does not build");
+      return report;
+    }
+    actual.push_back(*got);
+  }
   if (actual != expected) {
-    mismatch("composed program is not column-wise equivalent to the "
-             "unfused kernel composition: program yields " +
+    mismatch("layout is not column-wise equivalent to the unfused kernel "
+             "composition: layout yields " +
              SymColsToString(actual) + ", kernels yield " +
              SymColsToString(expected));
+    return report;
+  }
+  // Only literal widens may be dropped: a non-literal one decides the
+  // read's Status even when its column is discarded. (A dropped widen that
+  // a kept column needs already failed the source checks above.)
+  int dropped = 0;
+  for (size_t r = 0; r < ref_widens.size(); ++r) {
+    if (ref_built[r]) continue;
+    ++dropped;
+    if (!ref_widens[r].literal) {
+      mismatch("layout drops widen " + ref_widens[r].col.ToString() +
+               ", whose non-literal payload can fail");
+      return report;
+    }
+  }
+  if (dropped != layout.dead_dropped) {
+    mismatch("layout reports " + std::to_string(layout.dead_dropped) +
+             " dead widens dropped but drops " + std::to_string(dropped));
   }
   return report;
 }

@@ -26,9 +26,9 @@ namespace verify {
 ///     physical auxiliary table — or proven unreachable by the analyzer's
 ///     partition-witness engine (a condition gap/violation that no row can
 ///     exercise needs no aux).
-///  2. Fusion translation validation: a fused step's composed ColumnProgram
-///     is recomputed independently from the SMO descriptions of its
-///     original hops and compared column-wise; any divergence is a
+///  2. Fusion translation validation: a fused step's ColumnLayout is
+///     checked against column provenance recomputed independently from the
+///     SMO descriptions of its original hops; any divergence is a
 ///     miscompile, reported instead of silently executed.
 ///  3. Lock order: the latch acquisition sequences of all plans in the
 ///     genealogy must embed into one global total order (acyclic precedence
@@ -88,9 +88,11 @@ AnalysisReport VerifyPlan(const VersionCatalog& catalog,
                           const VerifyOptions& options = {},
                           ProofStats* stats = nullptr);
 
-/// Translation validation of one fused step: recomputes the composed column
-/// program independently from the SMO descriptions of the original hops and
-/// compares it column-wise against `step.program`. Empty report == the
+/// Translation validation of one fused step: recomputes the run's column
+/// provenance independently from the SMO descriptions of the original hops
+/// and compares `step.layout` against it — every output source, the mapped
+/// reads of every widen, and that only literal widens no kept column reads
+/// are dropped. Empty report == the
 /// fusion is proven equivalent to the unfused kernel composition. Used by
 /// the compiler's opt-in post-compile gate (PlanCompiler::set_verify_enabled)
 /// to reject miscompiled fusions with an unfused fallback.

@@ -116,6 +116,52 @@ TEST_F(BatchSemanticsTest, BatchScanMatchesRowScanAcrossVersions) {
   }
 }
 
+// A projected batch scan (the `columns` list a fused layout's inner scan
+// passes) holds exactly the listed columns of the full scan, in list
+// order, whether the version is physical or derived, batched or bridged
+// row at a time, cached or not.
+TEST_F(BatchSemanticsTest, ProjectedBatchScanMatchesFullScan) {
+  ASSERT_TRUE(db_.Execute("CREATE SCHEMA VERSION V2 FROM V1 WITH "
+                          "ADD COLUMN b INT AS a + 10 INTO T;"
+                          "ADD COLUMN c TEXT AS 'x' INTO T;")
+                  .ok());
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(db_.Insert("V1", "T", {Value::Int(i)}).ok());
+  }
+  const std::vector<int> columns = {2, 0};
+  for (const char* version : {"V1", "V2"}) {
+    TvId tv = *db_.catalog().ResolveTable(version, "T");
+    const std::vector<int> kept =
+        std::string(version) == "V1" ? std::vector<int>{0} : columns;
+    for (bool batched : {true, false}) {
+      for (bool cached : {false, true}) {
+        SCOPED_TRACE(std::string(version) + " batched=" +
+                     std::to_string(batched) +
+                     " cached=" + std::to_string(cached));
+        db_.access().set_batch_enabled(batched);
+        db_.access().set_cache_enabled(cached);
+        RowBatch full;
+        ASSERT_TRUE(db_.access().ScanVersionBatch(tv, &full).ok());
+        RowBatch projected;
+        ASSERT_TRUE(
+            db_.access().ScanVersionBatch(tv, &projected, &kept).ok());
+        ASSERT_EQ(projected.num_columns(), static_cast<int>(kept.size()));
+        ASSERT_EQ(projected.keys(), full.keys());
+        for (size_t c = 0; c < kept.size(); ++c) {
+          EXPECT_EQ(projected.column(static_cast<int>(c)),
+                    full.column(kept[c]));
+        }
+        RowBatch bad;
+        const std::vector<int> out_of_range = {7};
+        EXPECT_FALSE(
+            db_.access().ScanVersionBatch(tv, &bad, &out_of_range).ok());
+      }
+    }
+  }
+  db_.access().set_batch_enabled(true);
+  db_.access().set_cache_enabled(false);
+}
+
 // Regression: a caller must be able to scan through a width-changing chain
 // (here SPLIT above ADD COLUMN) without the intermediate narrow width
 // conflicting with the queried version's width — the batch enters every

@@ -62,6 +62,8 @@ TEST_F(ExplainTest, BackwardDecomposeFkCarriesIdrAux) {
       "          side=target index=0 kernel=fused-column fused[1]\n"
       "          fuses identity via "
       "RENAME COLUMN author IN Author TO name (elided)\n"
+      "          layout: reads 1/1 inner columns, builds 0 widens "
+      "(0 dead dropped)\n"
       "  step 2: backward (Figure 6, case 3) via "
       "DECOMPOSE TABLE Task INTO Task(task, prio), Author(author) "
       "ON FK author\n"

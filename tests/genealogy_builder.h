@@ -80,6 +80,14 @@ class GenealogyBuilder {
       }
       case 1: {  // DROP COLUMN (keep k0 and at least one column)
         GenTable& t = RandomTable();
+        if (t.int_cols > 1 && rng_.NextUint64(2) == 0) {
+          // Drop the last int column an earlier ADD COLUMN added, so a
+          // dead widen->narrow pair (non-literal payload) reaches fusion.
+          std::string col = "k" + std::to_string(t.int_cols - 1);
+          --t.int_cols;
+          pending_rollback_ = [&t] { ++t.int_cols; };
+          return "DROP COLUMN " + col + " FROM " + t.name + " DEFAULT k0 + 2";
+        }
         if (t.text_cols < 1) return std::string();
         std::string col = "v" + std::to_string(t.text_cols - 1);
         --t.text_cols;

@@ -148,7 +148,7 @@ TEST_F(DropColumnTest, ChainedColumnSmos) {
   EXPECT_EQ(v1[1], Value::String("none"));
 }
 
-// --- the widen path of a fused column program ---------------------------
+// --- the widen path of a fused column layout ----------------------------
 
 // Everything one configuration of the access layer reads from `version`.T:
 // Select, a top-level ScanVersionBatch and a Get of every key in `keys`
@@ -200,7 +200,7 @@ void ExpectSameRows(const std::vector<KeyedRow>& a,
   }
 }
 
-// Three ADD COLUMN hops over physical V1 fuse into one program of three
+// Three ADD COLUMN hops over physical V1 fuse into one layout of three
 // widens: d reads c, which the first widen of the same run produced, and
 // e is a literal. Rows written through V4 keep c, d and e in the aux
 // tables (hits), rows written through V2 keep only c, and rows written
@@ -238,7 +238,8 @@ TEST(WidenChainTest, FusedWidensAgreeAcrossFusionAndBatching) {
       *db.access().GetPlan(*db.catalog().ResolveTable("V4", "T"));
   ASSERT_EQ(plan->steps.size(), 1u);
   ASSERT_EQ(plan->steps[0].fused.size(), 3u);
-  ASSERT_EQ(plan->steps[0].program->ops.size(), 3u);
+  ASSERT_EQ(plan->steps[0].layout->widens.size(), 3u);
+  EXPECT_EQ(plan->steps[0].layout->inner_reads, (std::vector<int>{0, 1}));
 
   const WidenReads reference = ReadAll(&db, "V4", keys, false, false);
   ASSERT_TRUE(reference.status.ok()) << reference.status.ToString();
@@ -310,6 +311,59 @@ TEST(WidenChainTest, FailingPayloadFunctionFailsAlikeOnEveryPath) {
                 StatusCode::kInvalidArgument);
       EXPECT_NE(db.Get("V4", "T", text).status().message(),
                 "division by zero");
+    }
+  }
+}
+
+// A dead failing widen: f is added by a function that divides by zero on
+// one row, and the next hop drops f again. Fusion discards f's column but
+// still evaluates it, so every path fails with the unfused chain's Status;
+// a dead literal widen is dropped from the layout outright.
+TEST(WidenChainTest, DeadFailingWidenFailsAlikeOnEveryPath) {
+  Inverda db;
+  ASSERT_TRUE(db.Execute("CREATE SCHEMA VERSION V1 WITH "
+                         "CREATE TABLE T(a INT, b TEXT);"
+                         "CREATE SCHEMA VERSION V2 FROM V1 WITH "
+                         "ADD COLUMN f INT AS 100 / (a - 5) INTO T;"
+                         "CREATE SCHEMA VERSION V3 FROM V2 WITH "
+                         "DROP COLUMN f FROM T DEFAULT 0;"
+                         "CREATE SCHEMA VERSION V4 FROM V3 WITH "
+                         "ADD COLUMN e INT AS 7 INTO T;"
+                         "CREATE SCHEMA VERSION V5 FROM V4 WITH "
+                         "DROP COLUMN e FROM T DEFAULT 0;")
+                  .ok());
+  const int64_t fine = *db.Insert("V1", "T", {Value::Int(1), Value::Null()});
+  const int64_t by_zero =
+      *db.Insert("V1", "T", {Value::Int(5), Value::String("z")});
+
+  db.access().set_fusion_enabled(true);
+  const plan::TvPlan* plan =
+      *db.access().GetPlan(*db.catalog().ResolveTable("V5", "T"));
+  ASSERT_EQ(plan->steps.size(), 1u);
+  ASSERT_EQ(plan->steps[0].fused.size(), 4u);
+  const plan::ColumnLayout& layout = *plan->steps[0].layout;
+  EXPECT_EQ(layout.inner_reads, (std::vector<int>{0, 1}));
+  ASSERT_EQ(layout.widens.size(), 1u);
+  EXPECT_TRUE(layout.widens[0].dead);
+  EXPECT_EQ(layout.dead_dropped, 1);
+  EXPECT_EQ(layout.Summary(),
+            "reads 2/2 inner columns, builds 1 widens (1 dead dropped)");
+
+  const WidenReads reference = ReadAll(&db, "V5", {}, false, false);
+  ASSERT_FALSE(reference.status.ok());
+  EXPECT_EQ(reference.status.message(), "division by zero");
+  for (bool fusion : {false, true}) {
+    for (bool batch : {false, true}) {
+      SCOPED_TRACE("fusion=" + std::to_string(fusion) +
+                   " batch=" + std::to_string(batch));
+      EXPECT_EQ(ReadAll(&db, "V5", {}, fusion, batch).status.ToString(),
+                reference.status.ToString());
+      db.access().set_fusion_enabled(fusion);
+      db.access().set_batch_enabled(batch);
+      EXPECT_EQ(*db.Get("V5", "T", fine),
+                (std::optional<Row>(Row{Value::Int(1), Value::Null()})));
+      EXPECT_EQ(db.Get("V5", "T", by_zero).status().ToString(),
+                reference.status.ToString());
     }
   }
 }

@@ -163,6 +163,13 @@ TEST_F(TraceTest, DeepChainRecordsOneSpanPerStep) {
   for (size_t i = 0; i < 3; ++i) {
     EXPECT_EQ(derives[0]->fused_hops[i].first, "column");
   }
+  // TRACE LAST prints the fused step's layout line, as EXPLAIN does.
+  EXPECT_EQ(derives[0]->fused_layout,
+            "reads 1/1 inner columns, builds 3 widens (0 dead dropped)");
+  EXPECT_NE(plan::RenderTrace(*trace, "D3.tab")
+                .find("          layout: reads 1/1 inner columns, builds 3 "
+                      "widens (0 dead dropped)\n"),
+            std::string::npos);
 
   // Fusion off: the plan falls back to one step (and one span) per hop.
   db_.access().set_fusion_enabled(false);

@@ -105,6 +105,17 @@ TEST(VerifierGoldenTest, WikimediaGenealogyVerifies) {
   EXPECT_GE(summary->stats.plans, 171);
   EXPECT_EQ(summary->stats.obligations,
             summary->stats.by_aux + summary->stats.by_witness);
+
+  // Data at v109: the far versions read through fused runs whose layouts
+  // drop dead widens, and every layout must still translation-validate.
+  ASSERT_TRUE(scenario->db
+                  ->Materialize(MaterializeRequest::Targets(
+                      {scenario->versions[108]}))
+                  .ok());
+  summary = scenario->db->VerifyPlans();
+  ASSERT_TRUE(summary.ok()) << summary.status().ToString();
+  EXPECT_TRUE(summary->report.diagnostics.empty())
+      << verify::FormatVerifySummary(*summary);
 }
 
 TEST(VerifierGoldenTest, GenealogySurvivesEveryRejectedEvolution) {
@@ -186,7 +197,7 @@ TEST_P(FusionMutationTest, VerifyGateRejectsInjectedMiscompile) {
   EXPECT_GT(db.Metrics().value("plan_verify.fusion_rejected"),
             rejected_before);
 
-  // With the gate off, the corrupted program survives compilation — and
+  // With the gate off, the corrupted layout survives compilation — and
   // the validator, applied directly, is exactly what catches it.
   db.access().set_verify_enabled(false);
   db.access().set_fusion_mutation_for_test(GetParam());
@@ -198,17 +209,19 @@ TEST_P(FusionMutationTest, VerifyGateRejectsInjectedMiscompile) {
     still_fused = true;
     AnalysisReport report = verify::ValidateFusedStep(step, "F2.tab");
     EXPECT_NE(FindRule(report, "fusion-mismatch"), nullptr)
-        << "validator missed the corrupted program";
+        << "validator missed the corrupted layout";
   }
   EXPECT_TRUE(still_fused);
   db.access().set_fusion_mutation_for_test(plan::FusionMutation::kNone);
 }
 
 INSTANTIATE_TEST_SUITE_P(Mutations, FusionMutationTest,
-                         ::testing::Values(plan::FusionMutation::kDropOp,
-                                           plan::FusionMutation::kFlipKind,
-                                           plan::FusionMutation::kPerturbIndex,
-                                           plan::FusionMutation::kWrongAux));
+                         ::testing::Values(
+                             plan::FusionMutation::kDropWiden,
+                             plan::FusionMutation::kDropInnerRead,
+                             plan::FusionMutation::kPerturbInnerRead,
+                             plan::FusionMutation::kWrongAux,
+                             plan::FusionMutation::kWrongSource));
 
 // --- static lock-order analysis ---------------------------------------------
 

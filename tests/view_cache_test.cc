@@ -78,6 +78,23 @@ TEST_F(ViewCacheTest, MigrationInvalidates) {
   EXPECT_EQ(db_.Select("Do!", "Todo")->size(), 1u);
 }
 
+// MATERIALIZE's backfill reads derive the pre-migration content of every
+// staged version; they must not park it in the view cache, where it would
+// sit until the flip evicts it.
+TEST_F(ViewCacheTest, MigrationReadsStoreNoCacheEntries) {
+  ASSERT_TRUE(db_.Select("TasKy2", "Task").ok());  // warm one entry
+  db_.access().InvalidateCache();
+  const int64_t size = db_.Metrics().value("view_cache.size");
+  const int64_t invalidations = db_.Metrics().value("view_cache.invalidations");
+  ASSERT_EQ(size, 0);
+  ASSERT_TRUE(db_.Materialize(MaterializeRequest::Targets({"TasKy2"})).ok());
+  EXPECT_EQ(db_.Metrics().value("view_cache.size"), size);
+  EXPECT_EQ(db_.Metrics().value("view_cache.invalidations"), invalidations);
+  // The cache still serves ordinary reads after the migration.
+  ASSERT_TRUE(db_.Select("TasKy", "Task").ok());
+  EXPECT_GT(db_.Metrics().value("view_cache.size"), 0);
+}
+
 TEST_F(ViewCacheTest, PointLookupsUseCachedScans) {
   ASSERT_TRUE(db_.Select("TasKy2", "Task").ok());  // warm
   int64_t hits = db_.Metrics().value("view_cache.hits");
@@ -99,11 +116,11 @@ TEST_F(ViewCacheTest, DisabledCacheIsBypassed) {
 
 TEST_F(ViewCacheTest, ReenablingKeepsEntriesButNeverServesStaleData) {
   ASSERT_TRUE(db_.Select("TasKy2", "Task").ok());  // warm
-  EXPECT_EQ(db_.Metrics().value("view_cache.size"), 1);
+  EXPECT_GT(db_.Metrics().value("view_cache.size"), 0);
   // Toggling off and on no longer discards the entry...
   db_.access().set_cache_enabled(false);
   db_.access().set_cache_enabled(true);
-  EXPECT_EQ(db_.Metrics().value("view_cache.size"), 1);
+  EXPECT_GT(db_.Metrics().value("view_cache.size"), 0);
   int64_t hits = db_.Metrics().value("view_cache.hits");
   ASSERT_TRUE(db_.Select("TasKy2", "Task").ok());
   EXPECT_GT(db_.Metrics().value("view_cache.hits"), hits);
@@ -133,7 +150,7 @@ TEST_F(ViewCacheTest, ResetMetricsKeepsEntries) {
   EXPECT_EQ(db_.Metrics().value("view_cache.invalidations"), 0);
   EXPECT_TRUE(db_.access().cache_stats().empty());
   // Entries survive the reset and keep serving hits.
-  EXPECT_EQ(db_.Metrics().value("view_cache.size"), 1);
+  EXPECT_GT(db_.Metrics().value("view_cache.size"), 0);
   ASSERT_TRUE(db_.Select("TasKy2", "Task").ok());
   EXPECT_EQ(db_.Metrics().value("view_cache.hits"), 1);
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "plan/fused.h"
 #include "workload/wikimedia.h"
 
 namespace inverda {
@@ -96,6 +97,44 @@ TEST_F(WikimediaTest, WritesAtOldVersionsReachNewOnes) {
       "v171", scenario_->page_table.back(), *key);
   ASSERT_TRUE(at_latest.ok()) << at_latest.status().ToString();
   EXPECT_TRUE(at_latest->has_value());
+}
+
+// With the data materialized at v109, the page table of a far version
+// reads through one fused column run whose layout scans only the columns
+// the version keeps and builds only the widens it shows (plus any that can
+// fail). The counts pin what the layout compiles to on this genealogy.
+TEST(WikimediaLayoutTest, FusedRunsReadOnlyTheColumnsTheyKeep) {
+  Result<WikimediaScenario> built = BuildWikimedia(WikimediaOptions{});
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  WikimediaScenario& scenario = *built;
+  ASSERT_TRUE(scenario.db
+                  ->Materialize(MaterializeRequest::Targets(
+                      {scenario.versions[108]}))
+                  .ok());
+  struct Expected {
+    size_t index;
+    size_t inner_reads;
+    size_t widens;
+    int dead_dropped;
+  };
+  for (const Expected& want : {Expected{0, 2, 1, 7}, Expected{27, 25, 8, 0},
+                               Expected{170, 45, 10, 8}}) {
+    const std::string& version = scenario.versions[want.index];
+    SCOPED_TRACE(version);
+    TvId tv = *scenario.db->catalog().ResolveTable(
+        version, scenario.page_table[want.index]);
+    const plan::TvPlan* plan = *scenario.db->access().GetPlan(tv);
+    ASSERT_EQ(plan->steps.size(), 1u);
+    const plan::PlanStep& step = plan->steps.front();
+    ASSERT_TRUE(step.is_fused());
+    const plan::ColumnLayout& layout = *step.layout;
+    EXPECT_EQ(layout.inner_width, 47);
+    EXPECT_EQ(layout.inner_reads.size(), want.inner_reads);
+    EXPECT_EQ(layout.widens.size(), want.widens);
+    EXPECT_EQ(layout.dead_dropped, want.dead_dropped);
+    EXPECT_EQ(layout.output.size(),
+              static_cast<size_t>(plan->schema->num_columns()));
+  }
 }
 
 }  // namespace
