@@ -18,6 +18,11 @@ namespace inverda {
 
 thread_local int AccessLayer::access_depth_ = 0;
 thread_local int AccessLayer::cache_bypass_depth_ = 0;
+
+// Out of line: the guard is used from other translation units, which reach
+// the thread_local through its defining one.
+AccessLayer::CacheBypass::CacheBypass() { ++cache_bypass_depth_; }
+AccessLayer::CacheBypass::~CacheBypass() { --cache_bypass_depth_; }
 thread_local WriteTrace AccessLayer::last_trace_;
 
 namespace {

@@ -150,8 +150,8 @@ class AccessLayer : public AccessBackend {
   /// hold a full copy of each staged view until then.
   class CacheBypass {
    public:
-    CacheBypass() { ++cache_bypass_depth_; }
-    ~CacheBypass() { --cache_bypass_depth_; }
+    CacheBypass();
+    ~CacheBypass();
     CacheBypass(const CacheBypass&) = delete;
     CacheBypass& operator=(const CacheBypass&) = delete;
   };
