@@ -502,7 +502,11 @@ Status AccessLayer::ScanVersionBatch(TvId tv, RowBatch* out,
   // With batching disabled, the base-class bridge collects rows through
   // the ordinary ScanVersion — the row-at-a-time baseline. A `columns`
   // projection copies only those cells of a physical table; a derived
-  // version is derived whole and its kept columns moved out.
+  // version is derived whole and its kept columns moved out. Either way a
+  // projection needs an empty `out` (side.h), checked before any route.
+  if (columns != nullptr && !out->empty()) {
+    return Status::Internal("projected scan into a non-empty batch");
+  }
   if (!batch_enabled_) {
     return AccessBackend::ScanVersionBatch(tv, out, columns);
   }

@@ -137,6 +137,35 @@ struct WidenFn {
 /// Resolves `fn` (evaluated on `narrow_schema`) for BuildWidenColumn.
 WidenFn ResolveWidenFn(const Expression* fn, const TableSchema* narrow_schema);
 
+/// The widen rule for one row, shared by BuildWidenColumn and the fused
+/// point read: the value stored in `aux` under `key` (an empty `aux` is
+/// never probed), else the literal payload, else the payload function
+/// evaluated on `*narrow` once `cell(i)` has filled its narrow position
+/// `payload.reads[i]`. `*narrow` is sized to the narrow width on first
+/// use and only those positions are written, so the caller may reuse one
+/// buffer across rows.
+template <typename CellFn>
+Status WidenValue(const Table& aux, int64_t key, const WidenFn& payload,
+                  const CellFn& cell, Row* narrow, Value* out) {
+  if (!aux.empty()) {
+    if (const Row* stored = aux.Find(key)) {
+      *out = (*stored)[0];
+      return Status::OK();
+    }
+  }
+  if (payload.literal != nullptr) {
+    *out = *payload.literal;
+    return Status::OK();
+  }
+  narrow->resize(static_cast<size_t>(payload.narrow_schema->num_columns()));
+  for (size_t i = 0; i < payload.reads.size(); ++i) {
+    (*narrow)[static_cast<size_t>(payload.reads[i])] = cell(i);
+  }
+  INVERDA_ASSIGN_OR_RETURN(*out,
+                           payload.fn->Eval(*payload.narrow_schema, *narrow));
+  return Status::OK();
+}
+
 /// Builds column b of a widening hop for every selected row of `batch`
 /// (which supplies the keys and the selection): the value stored in `aux`
 /// under the row's key, else the payload function. `cells[i]` is the

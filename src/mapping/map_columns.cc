@@ -329,26 +329,13 @@ Result<std::vector<Value>> BuildWidenColumn(
     return std::vector<Value>(n, *payload.literal);  // nothing stored
   }
   std::vector<Value> b(n);
-  const bool probe = !aux.empty();
-  // Only the `reads` cells of this buffer are ever written.
-  Row narrow(static_cast<size_t>(payload.narrow_schema->num_columns()));
+  Row narrow;
   for (size_t row = 0; row < n; ++row) {
     if (!batch.selected(static_cast<int64_t>(row))) continue;
-    if (probe) {
-      if (const Row* stored = aux.Find(batch.key_at(static_cast<int64_t>(row)))) {
-        b[row] = (*stored)[0];
-        continue;
-      }
-    }
-    if (payload.literal != nullptr) {
-      b[row] = *payload.literal;
-      continue;
-    }
-    for (size_t i = 0; i < cells.size(); ++i) {
-      narrow[static_cast<size_t>(payload.reads[i])] = (*cells[i])[row];
-    }
-    INVERDA_ASSIGN_OR_RETURN(
-        b[row], payload.fn->Eval(*payload.narrow_schema, narrow));
+    INVERDA_RETURN_IF_ERROR(WidenValue(
+        aux, batch.key_at(static_cast<int64_t>(row)), payload,
+        [&](size_t i) -> const Value& { return (*cells[i])[row]; }, &narrow,
+        &b[row]));
   }
   return b;
 }

@@ -12,6 +12,9 @@ Status AccessBackend::ScanVersionBatch(TvId tv, RowBatch* out,
                                        const std::vector<int>* columns) {
   // Generic bridge: collect row-at-a-time. AccessLayer overrides this with
   // the real batch path; the bridge serves capture shims and tests.
+  if (columns != nullptr && !out->empty()) {
+    return Status::Internal("projected scan into a non-empty batch");
+  }
   RowBatch full;
   RowBatch* into = columns == nullptr ? out : &full;
   Status status = Status::OK();

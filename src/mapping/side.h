@@ -37,6 +37,8 @@ class AccessBackend {
   /// Scans all rows of table version `tv` into a columnar batch. With
   /// `columns`, the batch holds only those payload columns, in that order
   /// (distinct, in range); a physical table then copies only their cells.
+  /// A projected scan requires an empty `out` (Internal otherwise); an
+  /// unprojected one appends to whatever `out` already holds.
   /// The default bridges through ScanVersion row-at-a-time; AccessLayer
   /// overrides it with the batch execution path (physical tables fill the
   /// batch directly, virtual versions derive through the kernels' batch

@@ -257,21 +257,15 @@ Status FusedDerive(const PlanStep& step, std::optional<int64_t> key,
     const WidenBuild& widen = layout.widens[j];
     INVERDA_ASSIGN_OR_RETURN(Table * aux,
                              backend->db().GetTable(widen.aux_table));
-    if (const Row* stored = aux->Find(*key)) {
-      built[j] = (*stored)[0];
-    } else if (widen.payload.literal != nullptr) {
-      built[j] = *widen.payload.literal;
-    } else {
-      Row narrow(
-          static_cast<size_t>(widen.payload.narrow_schema->num_columns()));
-      for (size_t i = 0; i < widen.reads.size(); ++i) {
-        narrow[static_cast<size_t>(widen.payload.reads[i])] =
-            cell(widen.reads[i]);
-      }
-      INVERDA_ASSIGN_OR_RETURN(
-          built[j], widen.payload.fn->Eval(*widen.payload.narrow_schema,
-                                           narrow));
+    if (widen.reads.size() != widen.payload.reads.size()) {
+      return Status::Internal("widen " + std::to_string(j) +
+                              " maps the wrong number of reads");
     }
+    Row narrow;
+    INVERDA_RETURN_IF_ERROR(WidenValue(
+        *aux, *key, widen.payload,
+        [&](size_t i) -> const Value& { return cell(widen.reads[i]); },
+        &narrow, &built[j]));
   }
   Row row;
   row.reserve(layout.output.size());

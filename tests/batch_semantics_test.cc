@@ -155,6 +155,11 @@ TEST_F(BatchSemanticsTest, ProjectedBatchScanMatchesFullScan) {
         const std::vector<int> out_of_range = {7};
         EXPECT_FALSE(
             db_.access().ScanVersionBatch(tv, &bad, &out_of_range).ok());
+        // A projection never appends: every route rejects a non-empty
+        // `out` alike, and leaves it as it was.
+        Status into_full = db_.access().ScanVersionBatch(tv, &full, &kept);
+        EXPECT_EQ(into_full.code(), StatusCode::kInternal);
+        EXPECT_EQ(full.keys(), projected.keys());
       }
     }
   }
